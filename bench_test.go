@@ -208,20 +208,6 @@ func BenchmarkB9BlockingGranularity(b *testing.B) {
 	})
 }
 
-// B10 — parallel full-step evaluation (speedup bounded by core
-// count; see cmd/parkbench -id B10 for the honest single-core note).
-func BenchmarkB10Parallel(b *testing.B) {
-	sc := workload.SelectiveJoin(16000, 512, 1)
-	b.Run("workers=1", func(b *testing.B) {
-		benchScenario(b, sc, nil, park.Options{NoIndex: true})
-	})
-	for _, w := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchScenario(b, sc, nil, park.Options{NoIndex: true, Parallel: w})
-		})
-	}
-}
-
 // Grid reachability: many redundant derivation paths stress per-step
 // dedup (complements the chain and TC shapes).
 func BenchmarkGridReachability(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -94,7 +93,7 @@ func runB1(quick bool) error {
 			s := math.Log(float64(d)/float64(prevTime)) / math.Log(float64(n)/float64(prevN))
 			slope = fmt.Sprintf("%.2f", s)
 		}
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%v\t%s\n", n, edges, tcs, res.Stats.Steps, res.Stats.Derivations, d.Round(time.Microsecond), slope)
+		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%v\t%s\n", n, edges, tcs, res.RunStats.Steps, res.RunStats.Derivations, d.Round(time.Microsecond), slope)
 		prevTime, prevN = d, n
 	}
 	w.Flush()
@@ -127,9 +126,9 @@ func runB2(quick bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "ladder\t%d\t%d\t%d\t%d\t%v\n", k, res.Stats.Conflicts, res.Stats.Phases, res.Stats.BlockedInstances, d.Round(time.Microsecond))
-		if res.Stats.Phases != k+1 {
-			return fmt.Errorf("ladder-%d: phases = %d, want %d", k, res.Stats.Phases, k+1)
+		fmt.Fprintf(w, "ladder\t%d\t%d\t%d\t%d\t%v\n", k, res.RunStats.Conflicts, res.RunStats.Phases, res.RunStats.BlockedInstances, d.Round(time.Microsecond))
+		if res.RunStats.Phases != k+1 {
+			return fmt.Errorf("ladder-%d: phases = %d, want %d", k, res.RunStats.Phases, k+1)
 		}
 	}
 	for _, k := range ks {
@@ -138,9 +137,9 @@ func runB2(quick bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "wide\t%d\t%d\t%d\t%d\t%v\n", k, res.Stats.Conflicts, res.Stats.Phases, res.Stats.BlockedInstances, d.Round(time.Microsecond))
-		if res.Stats.Phases != 2 {
-			return fmt.Errorf("wide-%d: phases = %d, want 2", k, res.Stats.Phases)
+		fmt.Fprintf(w, "wide\t%d\t%d\t%d\t%d\t%v\n", k, res.RunStats.Conflicts, res.RunStats.Phases, res.RunStats.BlockedInstances, d.Round(time.Microsecond))
+		if res.RunStats.Phases != 2 {
+			return fmt.Errorf("wide-%d: phases = %d, want 2", k, res.RunStats.Phases)
 		}
 	}
 	w.Flush()
@@ -181,7 +180,7 @@ func runB3(quick bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%v\n", s.name, res.Stats.Conflicts, res.Stats.Phases, d.Round(time.Microsecond))
+		fmt.Fprintf(w, "%s\t%d\t%d\t%v\n", s.name, res.RunStats.Conflicts, res.RunStats.Phases, d.Round(time.Microsecond))
 	}
 	w.Flush()
 	fmt.Println("shape check: all strategies resolve the same conflicts; voting cost grows with critics")
@@ -225,7 +224,7 @@ func runB4(quick bool) error {
 			return err
 		}
 		postTime += time.Since(start)
-		if res.Stats.Conflicts > 0 {
+		if res.RunStats.Conflicts > 0 {
 			conflictful++
 			if park.FormatDatabase(u, res.Output) != park.FormatDatabase(u, post) {
 				diverged++
@@ -271,7 +270,7 @@ func runB5(quick bool) error {
 		}
 		fmt.Fprintf(w, "%d\t%v\t%v\t%.1fx\t%d\t%d\n", n,
 			dSemi.Round(time.Microsecond), dNaive.Round(time.Microsecond),
-			float64(dNaive)/float64(dSemi), semi.Stats.Derivations, naive.Stats.Derivations)
+			float64(dNaive)/float64(dSemi), semi.RunStats.Derivations, naive.RunStats.Derivations)
 	}
 	w.Flush()
 	fmt.Println("shape check: naive derivations grow quadratically, semi-naive linearly")
@@ -339,9 +338,9 @@ func runB7(quick bool) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\n", depth, width, res.Stats.Steps, res.Stats.NewFacts, d.Round(time.Microsecond))
-			if res.Stats.Steps < depth {
-				return fmt.Errorf("cascade depth %d finished in %d steps", depth, res.Stats.Steps)
+			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\n", depth, width, res.RunStats.Steps, res.RunStats.NewFacts, d.Round(time.Microsecond))
+			if res.RunStats.Steps < depth {
+				return fmt.Errorf("cascade depth %d finished in %d steps", depth, res.RunStats.Steps)
 			}
 		}
 	}
@@ -429,50 +428,14 @@ func runB9(quick bool) error {
 			return err
 		}
 		same := park.FormatDatabase(uAll, all.Output) == park.FormatDatabase(uOne, one.Output)
-		fmt.Fprintf(w, "wide-%d\tall\t%d\t%d\t%v\t\n", k, all.Stats.Phases, all.Stats.BlockedInstances, dAll.Round(time.Microsecond))
-		fmt.Fprintf(w, "wide-%d\tone\t%d\t%d\t%v\t%v\n", k, one.Stats.Phases, one.Stats.BlockedInstances, dOne.Round(time.Microsecond), same)
+		fmt.Fprintf(w, "wide-%d\tall\t%d\t%d\t%v\t\n", k, all.RunStats.Phases, all.RunStats.BlockedInstances, dAll.Round(time.Microsecond))
+		fmt.Fprintf(w, "wide-%d\tone\t%d\t%d\t%v\t%v\n", k, one.RunStats.Phases, one.RunStats.BlockedInstances, dOne.Round(time.Microsecond), same)
 		if !same {
 			return fmt.Errorf("wide-%d: blocking granularity changed the result", k)
 		}
 	}
 	w.Flush()
 	fmt.Println("shape check: one-per-restart trades restarts for smaller steps; results agree")
-	return nil
-}
-
-// B10 — parallel full-step evaluation: speedup of Options.Parallel on
-// a scan-heavy workload (linear matching makes the join work dominate
-// the sequential bookkeeping). The attainable speedup is bounded by
-// the machine's core count, which the table reports; on a single-core
-// machine the expected and measured speedup is ~1x, and the
-// experiment then only verifies that parallelism costs little and
-// changes nothing.
-func runB10(quick bool) error {
-	n := 64000
-	if quick {
-		n = 16000
-	}
-	sc := workload.SelectiveJoin(n, 512, 1)
-	w := table()
-	fmt.Fprintf(w, "cores available: %d\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintln(w, "mode\tworkers\ttime\tspeedup\tshards")
-	base, _, d1, err := evalScenario(sc, nil, park.Options{NoIndex: true})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "linear\t1\t%v\t1.0x\t%d\n", d1.Round(time.Microsecond), base.RunStats.Shards)
-	for _, workers := range []int{2, 4, 8} {
-		res, _, d, err := evalScenario(sc, nil, park.Options{NoIndex: true, Parallel: workers})
-		if err != nil {
-			return err
-		}
-		if res.Stats.Derivations != base.Stats.Derivations {
-			return fmt.Errorf("parallel run diverged: %d vs %d derivations", res.Stats.Derivations, base.Stats.Derivations)
-		}
-		fmt.Fprintf(w, "linear\t%d\t%v\t%.1fx\t%d\n", workers, d.Round(time.Microsecond), float64(d1)/float64(d), res.RunStats.Shards)
-	}
-	w.Flush()
-	fmt.Println("shape check: results identical; speedup bounded by core count")
 	return nil
 }
 

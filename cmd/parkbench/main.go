@@ -40,7 +40,6 @@ func main() {
 		{"B7", "ECA trigger-cascade scaling", runB7},
 		{"B8", "unambiguity: sequential firing orders vs PARK", runB8},
 		{"B9", "ablation: blocking granularity (all conflicts vs one per restart)", runB9},
-		{"B10", "parallel full-step evaluation speedup", runB10},
 		{"B11", "full-system transaction throughput (durable store)", runB11},
 		{"B12", "concurrent commit pipeline: group commit vs serialized", runB12},
 		{"B13", "read-replica scaling: throughput and lag vs follower count", runB13},

@@ -18,7 +18,6 @@ func TestAllBenchExperimentsQuick(t *testing.T) {
 		"B7":  runB7,
 		"B8":  runB8,
 		"B9":  runB9,
-		"B10": runB10,
 		"B11": runB11,
 		"B12": runB12,
 		"B14": runB14,

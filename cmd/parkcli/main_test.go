@@ -53,7 +53,7 @@ func TestCmdRun(t *testing.T) {
 	ups := writeFile(t, dir, "ups.park", `+active(tom).`)
 	if err := cmdRun([]string{
 		"-program", prog, "-db", db, "-updates", ups,
-		"-strategy", "priority", "-trace", "-naive", "-noindex", "-parallel", "2",
+		"-strategy", "priority", "-trace", "-naive", "-noindex",
 		"-explain", "payroll(tom, 100)",
 	}); err != nil {
 		t.Fatal(err)

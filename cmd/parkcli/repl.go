@@ -205,7 +205,7 @@ func (r *repl) command(line string) (quit bool, err error) {
 		}
 		fmt.Fprintf(r.out, "result: %s\n", park.FormatDatabase(r.u, res.Output))
 		fmt.Fprintf(r.out, "stats: phases=%d steps=%d conflicts=%d blocked=%d\n",
-			res.Stats.Phases, res.Stats.Steps, res.Stats.Conflicts, res.Stats.BlockedInstances)
+			res.RunStats.Phases, res.RunStats.Steps, res.RunStats.Conflicts, res.RunStats.BlockedInstances)
 		r.db = res.Output
 		r.updates = nil
 		r.last = res

@@ -57,7 +57,6 @@ func cmdRun(args []string) error {
 		naive       = fs.Bool("naive", false, "disable semi-naive evaluation")
 		noindex     = fs.Bool("noindex", false, "disable indexed matching")
 		strict      = fs.Bool("strict", false, "paper-literal conflict definition")
-		parallel    = fs.Int("parallel", 0, "worker goroutines for full steps (0 = sequential)")
 		explain     = fs.String("explain", "", "explain a ground atom of the result, e.g. 'q(a)'")
 		format      = fs.String("format", "text", "output format: text or json")
 	)
@@ -107,7 +106,6 @@ func cmdRun(args []string) error {
 		Naive:           *naive,
 		NoIndex:         *noindex,
 		StrictConflicts: *strict,
-		Parallel:        *parallel,
 		Explain:         *explain != "",
 	}
 	if *trace {
@@ -165,9 +163,8 @@ func parseGroundAtom(u *park.Universe, text string) (park.AID, error) {
 }
 
 // runJSON is the -format json shape of a run result. Stats carries
-// the extended RunStats (Γ-step split, groundings, shards, SELECT
-// outcomes, per-phase wall time); the embedded Stats fields are
-// inlined, so pre-existing keys are unchanged.
+// the RunStats (phases, steps, conflicts, Γ-step split, groundings,
+// SELECT outcomes, per-phase wall time).
 type runJSON struct {
 	Facts     []string       `json:"facts"`
 	Stats     park.RunStats  `json:"stats"`
@@ -216,8 +213,8 @@ func printResult(u *park.Universe, res *park.Result, stats bool) {
 		fmt.Fprintf(os.Stderr, "phases=%d steps=%d conflicts=%d stale=%d blocked=%d derivations=%d new-facts=%d\n",
 			rs.Phases, rs.Steps, rs.Conflicts, rs.StaleConflicts,
 			rs.BlockedInstances, rs.Derivations, rs.NewFacts)
-		fmt.Fprintf(os.Stderr, "restarts=%d gamma-full=%d gamma-delta=%d groundings=%d shards=%d select-insert=%d select-delete=%d wall=%v\n",
-			rs.Restarts, rs.FullSteps, rs.DeltaSteps, rs.Groundings, rs.Shards,
+		fmt.Fprintf(os.Stderr, "restarts=%d gamma-full=%d gamma-delta=%d groundings=%d select-insert=%d select-delete=%d wall=%v\n",
+			rs.Restarts, rs.FullSteps, rs.DeltaSteps, rs.Groundings,
 			rs.InsertDecisions, rs.DeleteDecisions, rs.Wall.Round(time.Microsecond))
 	}
 }

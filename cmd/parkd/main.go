@@ -196,8 +196,6 @@ func setup(cfg config) (*server.Server, *persist.Store, *repl.Follower, error) {
 		ev = events.NewLog(cfg.eventBuf)
 		ev.SetNodeID(cfg.nodeID)
 	}
-	// The store logs through slog only; the legacy printf sink would
-	// duplicate the degrade/recover events the slogger already carries.
 	popts := []persist.Option{
 		persist.WithSlog(logger),
 		persist.WithTraceBuffer(cfg.traceBuffer),
@@ -227,7 +225,7 @@ func setup(cfg config) (*server.Server, *persist.Store, *repl.Follower, error) {
 		return nil, nil, nil, err
 	}
 	if cfg.follow != "" {
-		follower := repl.NewFollower(store, cfg.follow, repl.WithLogger(log.Printf), repl.WithEvents(ev))
+		follower := repl.NewFollower(store, cfg.follow, repl.WithLogger(logger), repl.WithEvents(ev))
 		srv := server.NewReplica(store, follower, cfg.follow)
 		srv.SetLogger(logger)
 		if ev != nil {
@@ -246,7 +244,7 @@ func setup(cfg config) (*server.Server, *persist.Store, *repl.Follower, error) {
 		}
 		// The member starts with no known leader; the node's election
 		// loop discovers or elects one and retargets the follower.
-		follower := repl.NewFollower(store, "", repl.WithLogger(log.Printf), repl.WithEvents(ev))
+		follower := repl.NewFollower(store, "", repl.WithLogger(logger), repl.WithEvents(ev))
 		node, err := repl.NewNode(store, follower, repl.NodeConfig{
 			ID:      cfg.nodeID,
 			SelfURL: cfg.advertise,
@@ -385,8 +383,8 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.logger = logger
-	// Route the remaining log.Printf call sites (and the follower's
-	// lifecycle log) through the same structured handler.
+	// Route the remaining log.Printf call sites through the same
+	// structured handler.
 	slog.SetDefault(logger)
 	srv, store, follower, err := setup(cfg)
 	if err != nil {

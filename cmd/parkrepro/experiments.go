@@ -79,8 +79,8 @@ func experiments() []experiment {
 			Expected: "{p(a), p(b), p(c), q(a, b), q(b, a), q(b, c), q(c, b)}",
 			Notes:    "SELECT per the paper: drop loops and the a<->c arcs, keep the rest",
 			Check: func(u *park.Universe, res *park.Result) error {
-				if res.Stats.Conflicts != 9 {
-					return fmt.Errorf("conflicts = %d, want 9", res.Stats.Conflicts)
+				if res.RunStats.Conflicts != 9 {
+					return fmt.Errorf("conflicts = %d, want 9", res.RunStats.Conflicts)
 				}
 				return nil
 			},

@@ -103,7 +103,7 @@ func runExperiment(exp experiment, trace, verbose bool) error {
 	fmt.Printf("   paper:    %s\n", exp.Expected)
 	fmt.Printf("   measured: %s   [%s]\n", got, status)
 	fmt.Printf("   stats: phases=%d steps=%d conflicts=%d blocked=%d gamma=%d+%d groundings=%d wall=%v\n",
-		res.Stats.Phases, res.Stats.Steps, res.Stats.Conflicts, res.Stats.BlockedInstances,
+		res.RunStats.Phases, res.RunStats.Steps, res.RunStats.Conflicts, res.RunStats.BlockedInstances,
 		res.RunStats.FullSteps, res.RunStats.DeltaSteps, res.RunStats.Groundings,
 		res.RunStats.Wall.Round(time.Microsecond))
 	if exp.Notes != "" {

@@ -48,7 +48,6 @@ func TestExperimentsAcrossEngineModes(t *testing.T) {
 		"default":    {},
 		"naive":      {Naive: true},
 		"noindex":    {NoIndex: true},
-		"parallel":   {Parallel: 4},
 		"resolveone": {ResolveOne: true},
 		"explain":    {Explain: true},
 	}

@@ -20,7 +20,7 @@ func ExampleEval() {
 		log.Fatal(err)
 	}
 	fmt.Println(park.FormatDatabase(u, res.Output))
-	fmt.Println("conflicts:", res.Stats.Conflicts)
+	fmt.Println("conflicts:", res.RunStats.Conflicts)
 	// Output:
 	// {p, q}
 	// conflicts: 1

@@ -56,7 +56,7 @@ func main() {
 
 	fmt.Println("\nfinal graph:", park.FormatDatabase(u, res.Output))
 	fmt.Printf("%d conflicts resolved, %d rule instances blocked\n",
-		res.Stats.Conflicts, res.Stats.BlockedInstances)
+		res.RunStats.Conflicts, res.RunStats.BlockedInstances)
 	fmt.Println("\nblocked instances (note the r3 instances the paper calls")
 	fmt.Println("\"unnecessarily blocked\" — harmless for the result):")
 	for _, g := range res.Blocked {

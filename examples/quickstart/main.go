@@ -24,7 +24,7 @@ func main() {
 	}
 	fmt.Println("P1 result:", park.FormatDatabase(u, res.Output))
 	fmt.Printf("P1 stats:  %d phases, %d conflicts resolved\n\n",
-		res.Stats.Phases, res.Stats.Conflicts)
+		res.RunStats.Phases, res.RunStats.Conflicts)
 
 	// The §2 payroll rule: employees that are not active lose their
 	// payroll records. Using the explicit engine API this time.

@@ -30,12 +30,6 @@ type Options struct {
 	// progress on programs whose derivations go stale (DESIGN.md §2);
 	// in that case Run returns ErrNoProgress instead of looping.
 	StrictConflicts bool
-	// Parallel evaluates full Γ steps (the first step of every phase,
-	// or every step under Naive) with this many worker goroutines.
-	// Values below 2 mean sequential evaluation. Results are
-	// bit-identical to sequential runs; incremental semi-naive steps
-	// are always sequential (their per-step work is tiny).
-	Parallel int
 	// Explain attaches an Explainer to the Result, retaining the final
 	// phase's derivation provenance for "why is this atom here?"
 	// queries. Costs memory proportional to the derivation count.
@@ -53,8 +47,59 @@ type Options struct {
 // literal Δ operator of the paper would cycle forever.
 var ErrNoProgress = errors.New("park: inconsistency without resolvable conflict (stale derivation); rerun without StrictConflicts")
 
-// Stats summarizes one PARK evaluation.
-type Stats struct {
+// Result is the outcome of a PARK evaluation.
+type Result struct {
+	// Output is PARK(P, D, U): the result database instance.
+	Output *Database
+	// RunStats carries the run's counters and timings.
+	RunStats RunStats
+	// Blocked is the final blocked set B in blocking order.
+	Blocked []Grounding
+	// Conflicts lists the conflicts in resolution order together with
+	// their decisions.
+	Conflicts []ResolvedConflict
+	// Explainer is non-nil when Options.Explain was set; it builds
+	// derivation trees over this run's final state.
+	Explainer *Explainer
+}
+
+// ResolvedConflict pairs a conflict with its SELECT decision.
+type ResolvedConflict struct {
+	Conflict Conflict
+	Decision Decision
+}
+
+// RuleStat aggregates one rule's contribution to a run, indexed like
+// P_U (SelectInput.Program): program rules first, then the
+// transaction's update rules. The counters are incremented at the
+// same sites as the run-wide totals, so they sum exactly: Fires to
+// Derivations, Groundings to Groundings, Blocked to BlockedInstances.
+type RuleStat struct {
+	// Groundings counts enumerations of this rule folded into Γ steps,
+	// before per-step dedup and blocked-set filtering.
+	Groundings int64
+	// Fires counts derivations that produced a head (after dedup and
+	// blocked filtering) — the per-rule split of RunStats.Derivations.
+	Fires int64
+	// MatchNanos is the cumulative wall-clock time spent enumerating
+	// this rule's groundings during Γ steps (body matching plus the
+	// fold-in of each grounding).
+	MatchNanos int64
+	// ConflictWins and ConflictLosses count this rule's groundings on
+	// the winning resp. losing side of resolved conflict triples.
+	ConflictWins   int64
+	ConflictLosses int64
+	// Blocked counts this rule's groundings newly added to the blocked
+	// set B — the per-rule split of RunStats.BlockedInstances.
+	Blocked int64
+}
+
+// RunStats summarizes one PARK evaluation: its phases, steps and
+// conflicts, how the Δ operator spent its time (per-phase wall clock),
+// how Γ evaluation split between full and incremental steps, how much
+// raw grounding enumeration happened, and how conflict resolution
+// decided. All fields describe exactly one Engine.Run.
+type RunStats struct {
 	// Phases is the number of inflationary phases (1 + restarts).
 	Phases int
 	// Steps is the total number of applied Γ steps across phases.
@@ -72,74 +117,6 @@ type Stats struct {
 	// NewFacts counts marked atoms added to interpretations, summed
 	// over phases.
 	NewFacts int64
-}
-
-// Result is the outcome of a PARK evaluation.
-type Result struct {
-	// Output is PARK(P, D, U): the result database instance.
-	Output *Database
-	// Stats summarizes the run.
-	Stats Stats
-	// RunStats carries the extended operational counters and timings
-	// of the run (RunStats.Stats duplicates Stats).
-	RunStats RunStats
-	// Blocked is the final blocked set B in blocking order.
-	Blocked []Grounding
-	// Conflicts lists the conflicts in resolution order together with
-	// their decisions.
-	Conflicts []ResolvedConflict
-	// RuleFirings counts, per rule of P_U (indexed like
-	// SelectInput.Program), how many distinct groundings fired across
-	// all phases — re-derivations within a phase are not counted, but
-	// phases restart the count (so a rule firing in 3 phases counts 3
-	// groundings even if identical). Useful for profiling rule sets.
-	RuleFirings []int64
-	// Explainer is non-nil when Options.Explain was set; it builds
-	// derivation trees over this run's final state.
-	Explainer *Explainer
-}
-
-// ResolvedConflict pairs a conflict with its SELECT decision.
-type ResolvedConflict struct {
-	Conflict Conflict
-	Decision Decision
-}
-
-// RuleStat aggregates one rule's contribution to a run, indexed like
-// P_U (SelectInput.Program): program rules first, then the
-// transaction's update rules. The counters are incremented at the
-// same sites as the run-wide totals, so they sum exactly: Fires to
-// Stats.Derivations, Groundings to RunStats.Groundings, Blocked to
-// Stats.BlockedInstances.
-type RuleStat struct {
-	// Groundings counts enumerations of this rule folded into Γ steps,
-	// before per-step dedup and blocked-set filtering.
-	Groundings int64
-	// Fires counts derivations that produced a head (after dedup and
-	// blocked filtering) — the per-rule split of Stats.Derivations.
-	Fires int64
-	// MatchNanos is the cumulative wall-clock time spent enumerating
-	// this rule's groundings during Γ steps (body matching plus the
-	// fold-in of each grounding). Parallel full steps sum the per-shard
-	// matching time, so the total can exceed the run's wall clock.
-	MatchNanos int64
-	// ConflictWins and ConflictLosses count this rule's groundings on
-	// the winning resp. losing side of resolved conflict triples.
-	ConflictWins   int64
-	ConflictLosses int64
-	// Blocked counts this rule's groundings newly added to the blocked
-	// set B — the per-rule split of Stats.BlockedInstances.
-	Blocked int64
-}
-
-// RunStats extends Stats with the operational counters and timings
-// the observability layer exposes: how the Δ operator spent its time
-// (per-phase wall clock), how Γ evaluation split between full and
-// incremental steps, how much raw grounding enumeration happened, and
-// how conflict resolution decided. All fields describe exactly one
-// Engine.Run.
-type RunStats struct {
-	Stats
 	// Restarts is the number of bi-structure restarts (§5): phases
 	// after the first, each triggered by a conflict resolution.
 	Restarts int
@@ -152,12 +129,9 @@ type RunStats struct {
 	DeltaSteps int
 	// Groundings counts every rule-grounding enumeration folded into
 	// a step, before per-step deduplication and blocked-set filtering
-	// (Stats.Derivations counts after both).
+	// (Derivations counts after both).
 	Groundings int64
-	// Shards counts the preset-binding chunks dispatched to the
-	// parallel worker pool (0 for sequential runs).
-	Shards int64
-	// InsertDecisions and DeleteDecisions split Stats.Conflicts by
+	// InsertDecisions and DeleteDecisions split Conflicts by
 	// SELECT outcome: conflicts the strategy resolved by keeping the
 	// insertion resp. the deletion.
 	InsertDecisions int
@@ -319,17 +293,11 @@ func (e *Engine) Run(ctx context.Context, d *Database, updates []Update) (*Resul
 	rs.stats.BlockedInstances = rs.blocked.Len()
 	rs.stats.Wall = time.Since(start)
 	rs.stats.Restarts = rs.stats.Phases - 1
-	firings := make([]int64, len(rs.rules))
-	for i := range rs.rules {
-		firings[i] = rs.rules[i].Fires
-	}
 	res := &Result{
-		Output:      rs.in.Incorp(),
-		Stats:       rs.stats.Stats,
-		RunStats:    rs.stats,
-		Blocked:     append([]Grounding(nil), rs.blocked.All()...),
-		Conflicts:   rs.conflicts,
-		RuleFirings: firings,
+		Output:    rs.in.Incorp(),
+		RunStats:  rs.stats,
+		Blocked:   append([]Grounding(nil), rs.blocked.All()...),
+		Conflicts: rs.conflicts,
 	}
 	if e.opts.Explain {
 		res.Explainer = &Explainer{u: e.u, prog: progU, in: rs.in, prov: rs.prov}

@@ -40,8 +40,8 @@ func TestSelfConsumingRule(t *testing.T) {
 func TestDuplicateUpdates(t *testing.T) {
 	u, res := runPark(t, ``, `x.`, `+a. +a. -x. -x.`, core.InertiaStrategy{}, core.Options{})
 	checkResult(t, u, res, "a")
-	if res.Stats.Conflicts != 0 {
-		t.Fatalf("conflicts = %d", res.Stats.Conflicts)
+	if res.RunStats.Conflicts != 0 {
+		t.Fatalf("conflicts = %d", res.RunStats.Conflicts)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestDeepRecursion(t *testing.T) {
 	if count != 1001 {
 		t.Fatalf("reach atoms = %d", count)
 	}
-	if res.Stats.Steps != 1000 { // one applied step per chain hop
-		t.Fatalf("steps = %d", res.Stats.Steps)
+	if res.RunStats.Steps != 1000 { // one applied step per chain hop
+		t.Fatalf("steps = %d", res.RunStats.Steps)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parser"
+	"repro/internal/workload"
 )
 
 // runPark parses and evaluates one scenario, failing the test on any
@@ -93,8 +94,8 @@ func TestPaperE1(t *testing.T) {
 	`
 	u, res := runPark(t, prog, `p.`, "", core.InertiaStrategy{}, core.Options{})
 	checkResult(t, u, res, "p, q")
-	if res.Stats.Conflicts != 1 {
-		t.Fatalf("conflicts = %d, want 1", res.Stats.Conflicts)
+	if res.RunStats.Conflicts != 1 {
+		t.Fatalf("conflicts = %d, want 1", res.RunStats.Conflicts)
 	}
 }
 
@@ -155,8 +156,8 @@ func TestPaperE4(t *testing.T) {
 	}
 	u, res := runPark(t, prog, `p(a). p(b). p(c).`, "", strat, core.Options{})
 	checkResult(t, u, res, "p(a), p(b), p(c), q(a, b), q(b, a), q(b, c), q(c, b)")
-	if res.Stats.Conflicts != 9 {
-		t.Fatalf("conflicts = %d, want 9 (one per q atom)", res.Stats.Conflicts)
+	if res.RunStats.Conflicts != 9 {
+		t.Fatalf("conflicts = %d, want 9 (one per q atom)", res.RunStats.Conflicts)
 	}
 	// The losing r1 instances must be blocked for the 5 deleted arcs.
 	blockedR1 := 0
@@ -180,8 +181,8 @@ func TestPaperE5(t *testing.T) {
 	`
 	u, res := runPark(t, prog, `p(a). s(a). s(b).`, `+q(b).`, core.InertiaStrategy{}, core.Options{})
 	checkResult(t, u, res, "p(a), q(a), q(b), r(a), r(b)")
-	if res.Stats.Conflicts != 0 || res.Stats.Phases != 1 {
-		t.Fatalf("stats = %+v, want conflict-free single phase", res.Stats)
+	if res.RunStats.Conflicts != 0 || res.RunStats.Phases != 1 {
+		t.Fatalf("stats = %+v, want conflict-free single phase", res.RunStats)
 	}
 }
 
@@ -224,8 +225,8 @@ const sec5Program = `
 func TestPaperE7(t *testing.T) {
 	u, res := runPark(t, sec5Program, `p.`, "", core.InertiaStrategy{}, core.Options{})
 	checkResult(t, u, res, "a, b, p")
-	if res.Stats.Conflicts != 2 || res.Stats.Phases != 3 {
-		t.Fatalf("stats = %+v, want 2 conflicts over 3 phases", res.Stats)
+	if res.RunStats.Conflicts != 2 || res.RunStats.Phases != 3 {
+		t.Fatalf("stats = %+v, want 2 conflicts over 3 phases", res.RunStats)
 	}
 	wantBlocked := []string{"r2", "r5"}
 	if len(res.Blocked) != 2 {
@@ -269,8 +270,8 @@ func TestPaperE8(t *testing.T) {
 func TestPaperE9(t *testing.T) {
 	u, res := runPark(t, sec5Program, `p.`, "", priorityStrategy, core.Options{})
 	checkResult(t, u, res, "a, b, p, q")
-	if res.Stats.Conflicts != 2 {
-		t.Fatalf("conflicts = %d, want 2", res.Stats.Conflicts)
+	if res.RunStats.Conflicts != 2 {
+		t.Fatalf("conflicts = %d, want 2", res.RunStats.Conflicts)
 	}
 	if res.Conflicts[0].Decision != core.DecideDelete || res.Conflicts[1].Decision != core.DecideInsert {
 		t.Fatalf("decisions = %v, %v", res.Conflicts[0].Decision, res.Conflicts[1].Decision)
@@ -322,8 +323,8 @@ func TestConflictingUpdatesResolvedBySelect(t *testing.T) {
 
 func TestEmptyEverything(t *testing.T) {
 	u, res := runPark(t, ``, ``, ``, core.InertiaStrategy{}, core.Options{})
-	if res.Output.Len() != 0 || res.Stats.Phases != 1 {
-		t.Fatalf("result = {%s}, stats %+v", dbString(u, res.Output), res.Stats)
+	if res.Output.Len() != 0 || res.RunStats.Phases != 1 {
+		t.Fatalf("result = {%s}, stats %+v", dbString(u, res.Output), res.RunStats)
 	}
 }
 
@@ -340,8 +341,8 @@ const staleProgram = `
 func TestStaleConflictProvenance(t *testing.T) {
 	u, res := runPark(t, staleProgram, `p.`, "", core.InertiaStrategy{}, core.Options{})
 	checkResult(t, u, res, "b, p")
-	if res.Stats.StaleConflicts != 1 {
-		t.Fatalf("stale conflicts = %d, want 1", res.Stats.StaleConflicts)
+	if res.RunStats.StaleConflicts != 1 {
+		t.Fatalf("stale conflicts = %d, want 1", res.RunStats.StaleConflicts)
 	}
 	// The blocked instance must be r1 (the stale inserting side).
 	if len(res.Blocked) != 1 || res.Blocked[0].Rule != 0 {
@@ -478,14 +479,14 @@ func TestDeterminism(t *testing.T) {
 func TestTracerEvents(t *testing.T) {
 	tr := &core.CollectingTracer{}
 	_, res := runPark(t, sec5Program, `p.`, "", core.InertiaStrategy{}, core.Options{Tracer: tr})
-	if tr.Phases != res.Stats.Phases {
-		t.Fatalf("tracer phases %d != stats %d", tr.Phases, res.Stats.Phases)
+	if tr.Phases != res.RunStats.Phases {
+		t.Fatalf("tracer phases %d != stats %d", tr.Phases, res.RunStats.Phases)
 	}
-	if tr.StepsTotal != res.Stats.Steps {
-		t.Fatalf("tracer steps %d != stats %d", tr.StepsTotal, res.Stats.Steps)
+	if tr.StepsTotal != res.RunStats.Steps {
+		t.Fatalf("tracer steps %d != stats %d", tr.StepsTotal, res.RunStats.Steps)
 	}
-	if got := len(tr.Conflicts()); got != res.Stats.Conflicts {
-		t.Fatalf("tracer conflicts %d != stats %d", got, res.Stats.Conflicts)
+	if got := len(tr.Conflicts()); got != res.RunStats.Conflicts {
+		t.Fatalf("tracer conflicts %d != stats %d", got, res.RunStats.Conflicts)
 	}
 	// Event stream sanity: phases are numbered 1..N and each conflict
 	// is preceded by an inconsistency event in the same phase.
@@ -549,8 +550,8 @@ func TestNaiveSeminaiveAgree(t *testing.T) {
 		if dbString(u1, r1.Output) != dbString(u2, r2.Output) {
 			t.Fatalf("scenario %d: seminaive {%s} != naive {%s}", i, dbString(u1, r1.Output), dbString(u2, r2.Output))
 		}
-		if r1.Stats.Conflicts != r2.Stats.Conflicts || r1.Stats.Phases != r2.Stats.Phases {
-			t.Fatalf("scenario %d: stats diverge: %+v vs %+v", i, r1.Stats, r2.Stats)
+		if r1.RunStats.Conflicts != r2.RunStats.Conflicts || r1.RunStats.Phases != r2.RunStats.Phases {
+			t.Fatalf("scenario %d: stats diverge: %+v vs %+v", i, r1.RunStats, r2.RunStats)
 		}
 	}
 }
@@ -672,4 +673,54 @@ func TestRuleWithOrderComparison(t *testing.T) {
 	`
 	u, res := runPark(t, prog, `emp(tom). emp(ann). sal(tom, 100). sal(ann, 250).`, "", core.InertiaStrategy{}, core.Options{})
 	checkResult(t, u, res, "emp(ann), emp(tom), highpaid(ann), lowpaid(tom), sal(ann, 250), sal(tom, 100)")
+}
+
+// Property (Δ is growing, Theorem 4.1(1)): within every phase, each
+// applied step only adds marks — no event ever removes one — and the
+// phase sequence is strictly increasing until its end.
+func TestDeltaGrowingProperty(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		sc := workload.RandomProgram(10, 4, 4, seed)
+		u := core.NewUniverse()
+		prog, err := parser.ParseProgram(u, "", sc.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := parser.ParseDatabase(u, "", sc.Database)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &core.CollectingTracer{}
+		eng, err := core.NewEngine(u, prog, nil, core.Options{Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background(), db, nil); err != nil {
+			t.Fatal(err)
+		}
+		// Within each phase: every step adds at least one new mark and
+		// never repeats a mark added earlier in the phase.
+		type mark struct {
+			op   core.HeadOp
+			atom core.AID
+		}
+		var phaseMarks map[mark]bool
+		for _, e := range tr.Events {
+			switch e.Kind {
+			case "phase":
+				phaseMarks = make(map[mark]bool)
+			case "step":
+				if len(e.Added) == 0 {
+					t.Fatalf("seed %d: empty applied step", seed)
+				}
+				for _, ma := range e.Added {
+					m := mark{ma.Op, ma.Atom}
+					if phaseMarks[m] {
+						t.Fatalf("seed %d: mark %v re-added within a phase", seed, m)
+					}
+					phaseMarks[m] = true
+				}
+			}
+		}
+	}
 }

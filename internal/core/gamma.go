@@ -28,12 +28,8 @@ func (e *Engine) gammaStep(m *matcher, full bool) []AID {
 
 	if full {
 		rs.stats.FullSteps++
-		if e.opts.Parallel > 1 {
-			e.enumRulesParallel()
-		} else {
-			for ri := range rs.progU.Rules {
-				e.enumRule(m, ri, nil)
-			}
+		for ri := range rs.progU.Rules {
+			e.enumRule(m, ri, nil)
 		}
 	} else {
 		rs.stats.DeltaSteps++
@@ -105,7 +101,7 @@ func (e *Engine) enumRule(m *matcher, ri int, preset []Sym) {
 
 // processGrounding folds one valid grounding into the current step:
 // dedup, blocked filtering, head resolution, provenance and candidate
-// collection. Must be called from the engine goroutine only.
+// collection.
 func (e *Engine) processGrounding(g Grounding) {
 	rs := e.run
 	rs.stats.Groundings++

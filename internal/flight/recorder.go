@@ -32,7 +32,7 @@ type rawEvent struct {
 // Recorder implements core.Tracer by buffering raw events for one
 // engine run. It is not safe for concurrent use, matching the Tracer
 // contract: the engine calls all hooks from its single evaluation
-// goroutine (the parallel evaluator folds in on that goroutine too).
+// goroutine.
 // Finish resolves the buffer into an immutable Trace.
 type Recorder struct {
 	u        *core.Universe

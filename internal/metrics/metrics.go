@@ -9,8 +9,7 @@
 // layer serving it can be observed in production without pulling in
 // an external metrics dependency: everything here is standard
 // library only, and every mutation is a single atomic operation, so
-// instruments are safe to update from any goroutine (including the
-// engine's parallel Γ workers' fold-in path).
+// instruments are safe to update from any goroutine.
 //
 // Usage:
 //

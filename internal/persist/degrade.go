@@ -14,7 +14,7 @@ import (
 // log at a dirty boundary — used to poison itself until process
 // restart. Instead it now transitions to an explicit degraded state:
 //
-//   - Every write path (Apply, ApplyReplicated, Checkpoint,
+//   - Every write path (Apply, ApplyReplicatedFrom, Checkpoint,
 //     ResetToSnapshot) fails fast with an error matching ErrDegraded.
 //   - Every read path (Snapshot, Query, Len, Backup, History,
 //     StateAt, ReplicaCut and the subscription fan-out) keeps
@@ -105,8 +105,6 @@ func (s *Store) enterDegraded(reason string, cause error) {
 	s.met.setDegraded(true)
 	s.met.incDegrade()
 	seq, epoch := s.seqMirror.Load(), s.epochMirror.Load()
-	s.cfg.logf("persist: store degraded to read-only (%s: %v); probing disk every %v",
-		reason, cause, s.cfg.probeEvery)
 	s.cfg.slogger.Warn("store degraded to read-only",
 		"reason", reason, "cause", cause.Error(), "probeEvery", s.cfg.probeEvery,
 		"seq", seq, "epoch", epoch)
@@ -130,8 +128,6 @@ func (s *Store) exitDegraded() {
 	if down {
 		s.met.setDegraded(false)
 		seq, epoch := s.seqMirror.Load(), s.epochMirror.Load()
-		s.cfg.logf("persist: disk recovered after %v; write availability restored",
-			time.Since(since).Round(time.Millisecond))
 		s.cfg.slogger.Info("disk recovered; write availability restored",
 			"degradedFor", time.Since(since).Round(time.Millisecond),
 			"seq", seq, "epoch", epoch)
@@ -164,7 +160,6 @@ func (s *Store) probeLoop(stop, done chan struct{}) {
 		}
 		s.met.incProbe()
 		if err := s.probeDisk(); err != nil {
-			s.cfg.logf("persist: disk probe failed: %v", err)
 			s.cfg.slogger.Debug("disk probe failed", "cause", err.Error())
 			continue
 		}
@@ -172,7 +167,6 @@ func (s *Store) probeLoop(stop, done chan struct{}) {
 			if errors.Is(err, ErrClosed) {
 				return
 			}
-			s.cfg.logf("persist: repair after disk probe failed: %v", err)
 			s.cfg.slogger.Debug("repair after disk probe failed", "cause", err.Error())
 			continue
 		}
@@ -255,7 +249,6 @@ func (s *Store) repair() error {
 	s.pendingTxns = 0
 	s.syncCond.Broadcast()
 	s.syncMu.Unlock()
-	s.cfg.logf("persist: repaired store at seq %d (snapshot rewritten, WAL rotated)", s.seq)
 	s.cfg.slogger.Info("store repaired", "seq", s.seq)
 	return nil
 }

@@ -3,6 +3,7 @@ package persist
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,15 @@ import (
 	"testing"
 	"time"
 )
+
+// testLog adapts t.Log to an io.Writer, so tests can log through a
+// slog.TextHandler into the test's own output.
+type testLog struct{ t testing.TB }
+
+func (w testLog) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
 
 // waitHealthy polls until the store leaves degraded mode (the
 // background probe repaired it) or the deadline passes.
@@ -28,7 +38,8 @@ func waitHealthy(t *testing.T, s *Store, within time.Duration) {
 func TestStickyFsyncFailureDegradesAndProbeRepairs(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil)
-	s, err := Open(dir, WithFS(ffs), WithProbeInterval(10*time.Millisecond), WithLogf(t.Logf))
+	s, err := Open(dir, WithFS(ffs), WithProbeInterval(10*time.Millisecond),
+		WithSlog(slog.New(slog.NewTextHandler(testLog{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +322,8 @@ func TestReplicaWritesGatedWhileDegraded(t *testing.T) {
 		t.Fatalf("write = %v, want ErrDegraded", err)
 	}
 
-	if err := s.ApplyReplicated(TxnRecord{Seq: s.Seq() + 1, Added: []string{"p(x)"}}); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("ApplyReplicated while degraded = %v, want ErrDegraded", err)
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: s.Seq() + 1, Added: []string{"p(x)"}}, 0); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("ApplyReplicatedFrom while degraded = %v, want ErrDegraded", err)
 	}
 	if err := s.ResetToSnapshot(100, 0, []string{"p(y)"}, 0); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("ResetToSnapshot while degraded = %v, want ErrDegraded", err)

@@ -103,19 +103,19 @@ func TestApplyReplicatedFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.ApplyReplicated(TxnRecord{Seq: 1, Epoch: 1, Added: []string{"p(a)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 1, Epoch: 1, Added: []string{"p(a)"}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != 1 {
 		t.Fatalf("epoch after epoch-1 txn = %d, want 1 (adopted)", got)
 	}
 	// A newer epoch deposes epoch 1...
-	if err := s.ApplyReplicated(TxnRecord{Seq: 2, Epoch: 4, Added: []string{"q(b)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 2, Epoch: 4, Added: []string{"q(b)"}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	// ...after which epoch-1 frames are fenced, even stale ones that
 	// the idempotent skip would otherwise swallow.
-	err = s.ApplyReplicated(TxnRecord{Seq: 3, Epoch: 1, Added: []string{"stale(x)"}})
+	err = s.ApplyReplicatedFrom(TxnRecord{Seq: 3, Epoch: 1, Added: []string{"stale(x)"}}, 1)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("next-seq deposed txn: got %v, want ErrFenced", err)
 	}
@@ -123,11 +123,11 @@ func TestApplyReplicatedFencing(t *testing.T) {
 	if !errors.As(err, &fe) || fe.TxnEpoch != 1 || fe.StoreEpoch != 4 {
 		t.Fatalf("FencedError = %+v", err)
 	}
-	if err := s.ApplyReplicated(TxnRecord{Seq: 1, Epoch: 1, Added: []string{"p(a)"}}); !errors.Is(err, ErrFenced) {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 1, Epoch: 1, Added: []string{"p(a)"}}, 1); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-seq deposed txn: got %v, want ErrFenced", err)
 	}
 	// Same-epoch replay of an applied seq still skips idempotently.
-	if err := s.ApplyReplicated(TxnRecord{Seq: 2, Epoch: 4, Added: []string{"q(b)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 2, Epoch: 4, Added: []string{"q(b)"}}, 4); err != nil {
 		t.Fatalf("idempotent same-epoch replay: %v", err)
 	}
 	// The fenced fact never became visible.
@@ -211,7 +211,7 @@ func TestResetToSnapshotEpochAuthorization(t *testing.T) {
 	}
 	// Replaying the leader's history advances the epoch back up
 	// through the replayed commit markers.
-	if err := s.ApplyReplicated(TxnRecord{Seq: 11, Epoch: 8, Added: []string{"p(b)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 11, Epoch: 8, Added: []string{"p(b)"}}, 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != 8 {
@@ -237,7 +237,7 @@ func TestVoteRaisesFenceDurably(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Old leader at epoch 1 replicates normally.
-	if err := s.ApplyReplicated(TxnRecord{Seq: 1, Epoch: 1, Added: []string{"p(a)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 1, Epoch: 1, Added: []string{"p(a)"}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.FenceEpoch(); got != 1 {
@@ -256,7 +256,7 @@ func TestVoteRaisesFenceDurably(t *testing.T) {
 	}
 	// The old epoch-1 leader keeps streaming: fenced, both as a frame
 	// stamp and as a stream authority.
-	if err := s.ApplyReplicated(TxnRecord{Seq: 2, Epoch: 1, Added: []string{"lost(x)"}}); !errors.Is(err, ErrFenced) {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 2, Epoch: 1, Added: []string{"lost(x)"}}, 1); !errors.Is(err, ErrFenced) {
 		t.Fatalf("old-leader frame after vote = %v, want ErrFenced", err)
 	}
 	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 2, Epoch: 1, Added: []string{"lost(x)"}}, 1); !errors.Is(err, ErrFenced) {
@@ -279,7 +279,7 @@ func TestVoteRaisesFenceDurably(t *testing.T) {
 	if got := r.FenceEpoch(); got != 2 {
 		t.Fatalf("recovered fence = %d, want 2", got)
 	}
-	if err := r.ApplyReplicated(TxnRecord{Seq: 3, Epoch: 1, Added: []string{"lost(y)"}}); !errors.Is(err, ErrFenced) {
+	if err := r.ApplyReplicatedFrom(TxnRecord{Seq: 3, Epoch: 1, Added: []string{"lost(y)"}}, 1); !errors.Is(err, ErrFenced) {
 		t.Fatalf("old-leader frame after restart = %v, want ErrFenced", err)
 	}
 }
@@ -387,7 +387,7 @@ func TestCheckpointPreservesElectionRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyReplicated(TxnRecord{Seq: 1, Epoch: 2, Added: []string{"p(a)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 1, Epoch: 2, Added: []string{"p(a)"}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RecordVote(5, "node-b"); err != nil {

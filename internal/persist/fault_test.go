@@ -28,7 +28,7 @@ import (
 //     fold of the first R committed transactions for some R, with
 //     every acknowledged transaction included;
 //  2. replicates the recovered store into a fresh follower through
-//     ReplicaCut/ApplyReplicated and verifies convergence;
+//     ReplicaCut/ApplyReplicatedFrom and verifies convergence;
 //  3. heals the live store (clears every failpoint), waits for the
 //     degraded-mode probe to repair it, and verifies writes resume
 //     and the final state matches the committed history exactly.
@@ -37,9 +37,17 @@ import (
 // can crank the count and any failure can be replayed:
 //
 //	PARK_FAULT_SCHEDULES  number of schedules (default 25, 5 in -short)
-//	PARK_FAULT_SEED       run exactly one schedule with this seed
+//	PARK_FAULT_SEED       seed of the first schedule; set alone, it
+//	                      replays exactly that one schedule
 //
+// Without PARK_FAULT_SEED the schedules start at defaultFaultSeed, so
+// a plain `go test` runs the same schedules, under the same subtest
+// names, every time; CI passes a clock seed to explore new ones.
 // Every failure message includes the schedule's seed.
+
+// defaultFaultSeed is the first schedule's seed when PARK_FAULT_SEED
+// is unset.
+const defaultFaultSeed int64 = 1792072349747064201
 
 // faultMenu is the set of failpoints the injector draws from. Between
 // them they cover every VFS callsite the store has: WAL append/sync/
@@ -73,14 +81,7 @@ func TestRandomFaultRecovery(t *testing.T) {
 	if testing.Short() {
 		schedules = 5
 	}
-	if v := os.Getenv("PARK_FAULT_SCHEDULES"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("bad PARK_FAULT_SCHEDULES %q", v)
-		}
-		schedules = n
-	}
-	baseSeed := time.Now().UnixNano()
+	baseSeed := defaultFaultSeed
 	if v := os.Getenv("PARK_FAULT_SEED"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -88,6 +89,13 @@ func TestRandomFaultRecovery(t *testing.T) {
 		}
 		baseSeed = n
 		schedules = 1
+	}
+	if v := os.Getenv("PARK_FAULT_SCHEDULES"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			t.Fatalf("bad PARK_FAULT_SCHEDULES %q", v)
+		}
+		schedules = n
 	}
 	t.Logf("fault harness: %d schedule(s), base seed %d; replay a failing schedule with PARK_FAULT_SEED=<seed>", schedules, baseSeed)
 

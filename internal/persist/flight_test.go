@@ -85,7 +85,7 @@ func TestApplyReplicatedPropagatesTraceID(t *testing.T) {
 	defer s.Close()
 	events, cancel := s.Subscribe(4)
 	defer cancel()
-	err = s.ApplyReplicated(TxnRecord{Seq: 1, TraceID: "leader-trace", Added: []string{"p(a)"}})
+	err = s.ApplyReplicatedFrom(TxnRecord{Seq: 1, TraceID: "leader-trace", Added: []string{"p(a)"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

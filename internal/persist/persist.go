@@ -61,7 +61,7 @@
 //
 // Replication hooks. ReplicaCut takes a consistent cut (snapshot +
 // history + live subscription, gapless by construction) for serving a
-// replication stream; ApplyReplicated installs a leader-evaluated
+// replication stream; ApplyReplicatedFrom installs a leader-evaluated
 // delta through the same WAL/commit path without re-running the
 // engine; ResetToSnapshot adopts a leader snapshot wholesale; SyncWAL
 // lets a follower batch durability across applied transactions. A
@@ -256,7 +256,6 @@ type config struct {
 	queueDepth  int
 	fs          FS
 	probeEvery  time.Duration
-	logf        func(format string, args ...any)
 	slogger     *slog.Logger
 	traceBuffer int
 	slowThresh  time.Duration
@@ -308,21 +307,9 @@ func WithProbeInterval(d time.Duration) Option {
 	}
 }
 
-// WithLogf routes the store's operational log lines (degradation,
-// disk probes, repair, WAL quarantine) to the given printf-style
-// function. By default they are discarded.
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(c *config) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
-}
-
 // WithSlog routes the store's structured log records (commit events at
-// Debug, degradation and recovery at Warn/Info) to the given logger.
-// By default they are discarded. WithLogf and WithSlog are independent
-// sinks; configure one, not both, unless double logging is intended.
+// Debug, degradation, disk probes, repair and WAL quarantine at
+// Debug/Info/Warn) to the given logger. By default they are discarded.
 func WithSlog(l *slog.Logger) Option {
 	return func(c *config) {
 		if l != nil {
@@ -376,7 +363,7 @@ type TxnRecord struct {
 	TraceID string `json:"traceId,omitempty"`
 	// Epoch is the leadership epoch the transaction committed under.
 	// It is persisted in the commit marker and shipped in replication
-	// frames; ApplyReplicated rejects transactions whose epoch is older
+	// frames; ApplyReplicatedFrom rejects transactions whose epoch is older
 	// than the store's (fencing). Stores from before epochs existed
 	// carry epoch 0 everywhere.
 	Epoch int64 `json:"epoch,omitempty"`
@@ -407,7 +394,6 @@ func open(dir string, repair bool, opts ...Option) (*Store, *RepairReport, error
 		queueDepth:  64,
 		fs:          OSFS(),
 		probeEvery:  3 * time.Second,
-		logf:        func(string, ...any) {},
 		slogger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
 		traceBuffer: flight.DefaultRecent,
 	}

@@ -102,8 +102,6 @@ func (s *Store) quarantine(walPath string, committedEnd int64, corrupt *CorruptE
 		Offset:           committedEnd,
 		Reason:           corrupt.Reason,
 	}
-	s.cfg.logf("persist: WAL corruption at offset %d (%s): quarantined %d byte(s) to %s; store recovered through seq %d",
-		corrupt.Offset, corrupt.Reason, report.QuarantinedBytes, qPath, s.seq)
 	s.cfg.slogger.Warn("WAL corruption quarantined",
 		"offset", corrupt.Offset, "reason", corrupt.Reason,
 		"quarantinedBytes", report.QuarantinedBytes, "file", qPath, "recoveredSeq", s.seq)

@@ -12,7 +12,7 @@ import (
 // This file is the store-side substrate for streaming replication
 // (internal/repl). A leader serves a follower the pair
 // (snapshot-at-checkpoint, transaction tail); the follower installs
-// leader-committed transactions through ApplyReplicated, which
+// leader-committed transactions through ApplyReplicatedFrom, which
 // preserves every invariant of the local commit path — in particular
 // the global sequence stays dense and monotone, so a replica's state
 // at sequence N is exactly the leader's state at sequence N.
@@ -76,8 +76,8 @@ func (s *Store) ReplicaCut(withSnapshot bool, buffer int) (*ReplicaCut, error) {
 	return cut, nil
 }
 
-// ApplyReplicated installs one leader-committed transaction delta at
-// exactly txn.Seq, bypassing rule evaluation: replication ships
+// ApplyReplicatedFrom installs one leader-committed transaction delta
+// at exactly txn.Seq, bypassing rule evaluation: replication ships
 // results, not programs, because PARK(P, D, U) is a pure function the
 // leader already computed. The transaction must be the next in
 // sequence (txn.Seq == Seq()+1); a transaction at or below the current
@@ -90,28 +90,21 @@ func (s *Store) ReplicaCut(withSnapshot bool, buffer int) (*ReplicaCut, error) {
 // it re-request those transactions from the leader.
 //
 // Fencing: the frame is judged by the AUTHORITY it arrives under, not
-// by the epoch stamped inside it — ApplyReplicated authorizes the
-// frame by its own epoch, ApplyReplicatedFrom by the serving leader's
-// current epoch (from stream heartbeats). An authority below the
-// store's fencing floor (FenceEpoch: the highest epoch it has
-// committed under, voted in, or bootstrapped from) is rejected with
-// an error matching ErrFenced, whatever its sequence — it comes from
-// a deposed leader and must not be applied, skipped, or used to
-// advance the stream. A transaction from a newer epoch advances the
-// store's epoch (durably, via its commit marker).
-func (s *Store) ApplyReplicated(txn TxnRecord) error {
-	return s.ApplyReplicatedFrom(txn, txn.Epoch)
-}
-
-// ApplyReplicatedFrom is ApplyReplicated under an explicit authority:
-// leaderEpoch is the serving leader's CURRENT epoch, learned from its
-// stream heartbeats. The distinction matters after a failover — the
-// new leader's stream legitimately relays frames that committed under
-// older epochs (the shared prefix), and those must apply even on a
-// store whose fencing floor already names the new epoch (it voted, or
-// it is mid-bootstrap); conversely a deposed leader's live tail
-// carries its own stale epoch as authority and is rejected however
-// its frames are stamped.
+// by the epoch stamped inside it. leaderEpoch is the serving leader's
+// CURRENT epoch, learned from its stream heartbeats (callers with no
+// stream pass txn.Epoch). The distinction matters after a failover —
+// the new leader's stream legitimately relays frames that committed
+// under older epochs (the shared prefix), and those must apply even on
+// a store whose fencing floor already names the new epoch (it voted,
+// or it is mid-bootstrap); conversely a deposed leader's live tail
+// carries its own stale epoch as authority and is rejected however its
+// frames are stamped. An authority below the store's fencing floor
+// (FenceEpoch: the highest epoch it has committed under, voted in, or
+// bootstrapped from) is rejected with an error matching ErrFenced,
+// whatever its sequence — it comes from a deposed leader and must not
+// be applied, skipped, or used to advance the stream. A transaction
+// from a newer epoch advances the store's epoch (durably, via its
+// commit marker).
 func (s *Store) ApplyReplicatedFrom(txn TxnRecord, leaderEpoch int64) error {
 	if err := s.degradedErr(); err != nil {
 		return err

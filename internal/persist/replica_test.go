@@ -26,10 +26,10 @@ func TestApplyReplicatedSequencing(t *testing.T) {
 	}
 	defer s.Close()
 
-	if err := s.ApplyReplicated(TxnRecord{Seq: 1, Added: []string{"p(a)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 1, Added: []string{"p(a)"}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyReplicated(TxnRecord{Seq: 2, Added: []string{"q(b)"}, Removed: []string{"p(a)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 2, Added: []string{"q(b)"}, Removed: []string{"p(a)"}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := renderDB(s.Universe(), s.Snapshot()); got != "q(b)" {
@@ -39,14 +39,14 @@ func TestApplyReplicatedSequencing(t *testing.T) {
 		t.Fatalf("seq = %d, want 2", s.Seq())
 	}
 	// Replays of already-applied sequences are idempotent no-ops.
-	if err := s.ApplyReplicated(TxnRecord{Seq: 1, Added: []string{"stale(x)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 1, Added: []string{"stale(x)"}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := renderDB(s.Universe(), s.Snapshot()); got != "q(b)" {
 		t.Fatalf("db after replay = %q, want q(b)", got)
 	}
 	// A sequence gap is an error, not a silent skip.
-	if err := s.ApplyReplicated(TxnRecord{Seq: 4, Added: []string{"r(c)"}}); err == nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 4, Added: []string{"r(c)"}}, 0); err == nil {
 		t.Fatal("gap (2 -> 4) accepted")
 	}
 	if err := s.SyncWAL(); err != nil {
@@ -64,7 +64,7 @@ func TestApplyReplicatedDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range []string{"p(a)", "q(b)", "r(c)"} {
-		if err := s.ApplyReplicated(TxnRecord{Seq: i + 1, Added: []string{f}}); err != nil {
+		if err := s.ApplyReplicatedFrom(TxnRecord{Seq: i + 1, Added: []string{f}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestResetToSnapshot(t *testing.T) {
 		t.Fatalf("history not cleared: %v", s.History())
 	}
 	// Replication continues from the adopted sequence...
-	if err := s.ApplyReplicated(TxnRecord{Seq: 43, Added: []string{"lead(c)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 43, Added: []string{"lead(c)"}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SyncWAL(); err != nil {

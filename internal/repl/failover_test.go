@@ -19,17 +19,24 @@ package repl_test
 // write visible (all members converge to the identical database).
 //
 //	PARK_FAILOVER_SCHEDULES  number of schedules (default 6, 2 in -short)
-//	PARK_FAILOVER_SEED       run exactly one schedule with this seed
+//	PARK_FAILOVER_SEED       seed of the first schedule; set alone, it
+//	                         replays exactly that one schedule
 //
-// Every failure message includes the schedule's seed.
+// Without PARK_FAILOVER_SEED the schedules start at
+// defaultFailoverSeed, so a plain `go test` runs the same schedules,
+// under the same subtest names, every time; CI passes a clock seed to
+// explore new ones. Every failure message includes the schedule's
+// seed.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -110,6 +117,15 @@ func startCluster(t *testing.T, n int, lease time.Duration) []*clusterMember {
 	return members
 }
 
+// testLog adapts t.Log to an io.Writer, so members log through a
+// slog.TextHandler into the test's own output.
+type testLog struct{ t testing.TB }
+
+func (w testLog) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 // start builds the member's store/follower/node/server stack and
 // serves on ln (nil: rebind the member's fixed address).
 func (m *clusterMember) start(ln net.Listener) error {
@@ -136,15 +152,13 @@ func (m *clusterMember) start(ln net.Listener) error {
 		ln.Close()
 		return err
 	}
-	logf := func(format string, args ...any) {
-		m.t.Logf("[%s] "+format, append([]any{m.id}, args...)...)
-	}
+	logger := slog.New(slog.NewTextHandler(testLog{m.t}, nil)).With("member", m.id)
 	f := repl.NewFollower(store, "",
 		repl.WithBackoff(2*time.Millisecond, 25*time.Millisecond),
-		repl.WithLogger(logf),
+		repl.WithLogger(logger),
 		repl.WithEvents(ev))
 	node, err := repl.NewNode(store, f, repl.NodeConfig{
-		ID: m.id, SelfURL: m.url, Peers: m.peers, Lease: m.lease, Logf: logf, Events: ev,
+		ID: m.id, SelfURL: m.url, Peers: m.peers, Lease: m.lease, Logger: logger, Events: ev,
 	})
 	if err != nil {
 		store.Close()
@@ -687,6 +701,35 @@ func TestClusterEventJournalAndAggregatedStatus(t *testing.T) {
 	}
 }
 
+// TestNonLeaderStreamNeverNamesItself proves a member that does not
+// lead, but still serves its replication stream, names the leader it
+// follows in the stream's heartbeats, never itself. Knowing no leader,
+// it names no one, so a member downstream cannot renew a lease for it.
+func TestNonLeaderStreamNeverNamesItself(t *testing.T) {
+	store := openStore(t)
+	f := repl.NewFollower(store, "")
+	node, err := repl.NewNode(store, f, repl.NodeConfig{
+		ID: "a", SelfURL: "http://a", Peers: map[string]string{"b": "http://b"}, Lease: testLease,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.NewClusterMember(store, f, node).Handler())
+	t.Cleanup(ts.Close) // after the follower below stops streaming
+	down := fastFollower(openStore(t), ts.URL)
+	runFollower(t, down)
+	waitFor(t, 5*time.Second, "the first heartbeat", func() bool {
+		return !down.Status().LastFrame.IsZero()
+	})
+	if id := down.Status().LeaderID; id != "" {
+		t.Fatalf("a member that leads no one sent heartbeats naming %q", id)
+	}
+}
+
+// defaultFailoverSeed is the first schedule's seed when
+// PARK_FAILOVER_SEED is unset.
+const defaultFailoverSeed int64 = 1792072353587602137
+
 // TestRandomFailoverSchedules is the randomized leader-crash/partition
 // extension of the persist fault harness (see the package comment at
 // the top of this file for the knobs).
@@ -695,14 +738,7 @@ func TestRandomFailoverSchedules(t *testing.T) {
 	if testing.Short() {
 		schedules = 2
 	}
-	if v := os.Getenv("PARK_FAILOVER_SCHEDULES"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("bad PARK_FAILOVER_SCHEDULES %q", v)
-		}
-		schedules = n
-	}
-	baseSeed := time.Now().UnixNano()
+	baseSeed := defaultFailoverSeed
 	if v := os.Getenv("PARK_FAILOVER_SEED"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -710,6 +746,13 @@ func TestRandomFailoverSchedules(t *testing.T) {
 		}
 		baseSeed = n
 		schedules = 1
+	}
+	if v := os.Getenv("PARK_FAILOVER_SCHEDULES"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			t.Fatalf("bad PARK_FAILOVER_SCHEDULES %q", v)
+		}
+		schedules = n
 	}
 	t.Logf("failover harness: %d schedule(s), base seed %d; replay with PARK_FAILOVER_SEED=<seed>", schedules, baseSeed)
 	for i := 0; i < schedules; i++ {

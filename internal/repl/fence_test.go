@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/persist"
 )
 
@@ -43,7 +46,7 @@ func newTestNode(t *testing.T) (*Node, *persist.Store) {
 // for a write on this one.
 func TestHandleAckEpochFiltering(t *testing.T) {
 	n, s := newTestNode(t)
-	if err := s.ApplyReplicated(persist.TxnRecord{Seq: 1, Epoch: 2, Added: []string{"p(a)"}}); err != nil {
+	if err := s.ApplyReplicatedFrom(persist.TxnRecord{Seq: 1, Epoch: 2, Added: []string{"p(a)"}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
@@ -153,5 +156,190 @@ func TestFollowerHeartbeatFencing(t *testing.T) {
 	}
 	if st := f.Status(); st.LastFrame.IsZero() || st.LeaderEpoch != 5 {
 		t.Fatalf("status after current-leader heartbeat = %+v", st)
+	}
+}
+
+// TestDeposedLeaderNeverFollowsItself builds the self-follow state: a
+// leader at epoch 2 polls a peer that has voted in epoch 3 but not yet
+// heard from the winner, so the peer still names this node as leader.
+// The node must step down to "leader unknown" with a lapsed lease, so
+// the next tick rediscovers, and its follower must refuse heartbeats
+// from the node's own stream instead of renewing the lease from them.
+func TestDeposedLeaderNeverFollowsItself(t *testing.T) {
+	s, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if err := s.BeginEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(StatusInfo{
+			NodeID: "b", Role: "follower", Epoch: 2, FenceEpoch: 3,
+			LeaderID: "a", LeaderURL: "http://a",
+		})
+	}))
+	defer peer.Close()
+	ev := events.NewLog(16)
+	f := NewFollower(s, "")
+	n, err := NewNode(s, f, NodeConfig{
+		ID:      "a",
+		SelfURL: "http://a",
+		Peers:   map[string]string{"b": peer.URL},
+		Lease:   100 * time.Millisecond,
+		Events:  ev,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.role = RoleLeader
+	n.leaderID, n.leaderURL = "a", "http://a"
+	n.mu.Unlock()
+
+	n.leaderTick(context.Background())
+	if got := n.Role(); got != RoleFollower {
+		t.Fatalf("role after a peer reported a higher fence = %v, want follower", got)
+	}
+	if id, url := n.Leader(); id != "" || url != "" {
+		t.Fatalf("deposed leader follows %q (%s), want leader unknown", id, url)
+	}
+	n.mu.Lock()
+	contact := n.contact
+	n.mu.Unlock()
+	if !contact.IsZero() {
+		t.Fatalf("contact = %v, want zero so the next tick rediscovers", contact)
+	}
+	if got := f.LeaderURL(); got == "http://a" {
+		t.Fatal("follower retargeted at the node itself")
+	}
+	evs, _ := ev.Since(0, map[events.Type]bool{events.LeaderDemoted: true}, 0)
+	if len(evs) != 1 || evs[0].Peer != "" {
+		t.Fatalf("leader-demoted events = %+v, want one naming no leader", evs)
+	}
+
+	// Discovery vets its report the same way.
+	n.adoptLeader("a", "http://a")
+	if id, _ := n.Leader(); id != "" {
+		t.Fatalf("discovery adopted %q, want leader unknown", id)
+	}
+
+	// Even when streaming from itself, the follower renews nothing.
+	hb, err := json.Marshal(Heartbeat{Epoch: 3, LeaderID: "a", LeaseMillis: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.handle(FrameHeartbeat, hb); err == nil {
+		t.Fatal("heartbeat from the node's own stream accepted")
+	}
+	if !f.Status().LastFrame.IsZero() {
+		t.Fatal("own heartbeat renewed LastFrame")
+	}
+
+	// A heartbeat naming no one replaces the leader a stream named
+	// before, so the old name cannot match the node's leader any more.
+	for _, want := range []string{"b", ""} {
+		hb, err := json.Marshal(Heartbeat{Epoch: 3, LeaderID: want, LeaseMillis: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.handle(FrameHeartbeat, hb); err != nil {
+			t.Fatalf("heartbeat naming %q: %v", want, err)
+		}
+		if got := f.Status().LeaderID; got != want {
+			t.Fatalf("stream leader after a heartbeat naming %q = %q", want, got)
+		}
+	}
+}
+
+// TestLeaseRenewsOnlyFromFollowedLeader proves a follower's lease is
+// renewed only by a stream naming the leader the node follows. A
+// member that stopped leading may keep serving its stream, naming
+// another leader or none; its heartbeats must not keep the dead
+// leader's lease alive here.
+func TestLeaseRenewsOnlyFromFollowedLeader(t *testing.T) {
+	n, _ := newTestNode(t)
+	n.mu.Lock()
+	n.leaderID, n.leaderURL = "b", "http://b"
+	n.mu.Unlock()
+	contact := func() time.Time {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.contact
+	}
+	heartbeat := func(leader string) {
+		t.Helper()
+		time.Sleep(time.Millisecond) // a strictly later LastFrame
+		hb, err := json.Marshal(Heartbeat{LeaderID: leader, LeaseMillis: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.f.handle(FrameHeartbeat, hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	heartbeat("b")
+	n.followerTick(context.Background())
+	renewed := contact()
+	if !renewed.Equal(n.f.Status().LastFrame) {
+		t.Fatalf("contact = %v after the followed leader's heartbeat, want %v", renewed, n.f.Status().LastFrame)
+	}
+	// Both ticks return inside the lease, so no campaign runs.
+	for _, other := range []string{"", "c"} {
+		heartbeat(other)
+		n.followerTick(context.Background())
+		if got := contact(); !got.Equal(renewed) {
+			t.Fatalf("a heartbeat naming %q renewed the lease of b (contact %v, want %v)", other, got, renewed)
+		}
+	}
+}
+
+// TestBlockedCampaignForgetsDeadLeader proves a follower whose lease
+// lapsed and that cannot reach a majority keeps its leader only while
+// that leader still answers as one. Forgetting a dead leader makes the
+// member answer writes 503 (no leader) instead of 421 naming it.
+func TestBlockedCampaignForgetsDeadLeader(t *testing.T) {
+	s, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	// Only b answers, as a suspended leader; c, d and e are down. Two
+	// of five members reachable is short of the majority of three, and
+	// discovery skips a suspended leader, so every campaign is blocked.
+	peers := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/b/v1/repl/status" {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(StatusInfo{NodeID: "b", Role: "leader", LeaderID: "b", Suspended: true})
+	}))
+	defer peers.Close()
+	n, err := NewNode(s, NewFollower(s, ""), NodeConfig{
+		ID:      "a",
+		SelfURL: "http://a",
+		Peers: map[string]string{
+			"b": peers.URL + "/b", "c": peers.URL + "/c", "d": peers.URL + "/d", "e": peers.URL + "/e",
+		},
+		Lease: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ leader, want string }{{"c", ""}, {"b", "b"}} {
+		n.mu.Lock()
+		n.leaderID, n.leaderURL = tc.leader, peers.URL+"/"+tc.leader
+		n.contact = time.Time{} // the lease has lapsed
+		n.mu.Unlock()
+		n.followerTick(context.Background())
+		if got := n.Role(); got != RoleFollower {
+			t.Fatalf("role after a blocked campaign = %v, want follower", got)
+		}
+		if id, _ := n.Leader(); id != tc.want {
+			t.Fatalf("leader after a blocked campaign while following %s = %q, want %q", tc.leader, id, tc.want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -40,7 +41,7 @@ type Follower struct {
 	// WAL fsync during catch-up (the follower also syncs whenever it
 	// reaches the leader's sequence and on heartbeats).
 	syncEvery int
-	logf      func(format string, args ...any)
+	log       *slog.Logger
 	// ev is the cluster event journal (nil-safe): the follower emits
 	// repl-stall when a stream that delivered frames ends and
 	// repl-resume when a connection starts delivering again.
@@ -53,6 +54,11 @@ type Follower struct {
 	// bootstraps) must still jitter independently, or they reconnect
 	// in lockstep and the jitter defeats itself.
 	rng *rand.Rand
+
+	// self is the local member's node ID in cluster mode (NewNode sets
+	// it before the follower runs). A heartbeat naming it comes from
+	// this node's own stream and proves no live leader.
+	self string
 
 	mu     sync.Mutex
 	st     Status
@@ -179,10 +185,14 @@ func WithSyncEvery(n int) Option {
 	}
 }
 
-// WithLogger directs connection lifecycle messages (connect, fault,
-// backoff) to logf; by default the follower is silent.
-func WithLogger(logf func(format string, args ...any)) Option {
-	return func(f *Follower) { f.logf = logf }
+// WithLogger directs connection lifecycle records (connect, fault,
+// backoff, bootstrap) to l; by default the follower is silent.
+func WithLogger(l *slog.Logger) Option {
+	return func(f *Follower) {
+		if l != nil {
+			f.log = l
+		}
+	}
 }
 
 // WithEvents emits replication-stream lifecycle events (stall/resume)
@@ -202,7 +212,7 @@ func NewFollower(store *persist.Store, leaderURL string, opts ...Option) *Follow
 		backoffMin: 200 * time.Millisecond,
 		backoffMax: 10 * time.Second,
 		syncEvery:  64,
-		logf:       func(string, ...any) {},
+		log:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 		// Seed from the process-wide auto-seeded generator: unique per
 		// instance even for followers built in the same nanosecond.
 		rng:  rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
@@ -239,7 +249,7 @@ func (f *Follower) Retarget(leaderURL string) {
 	case f.wake <- struct{}{}:
 	default:
 	}
-	f.logf("repl: retargeted to leader %s", leaderURL)
+	f.log.Info("retargeted to leader", "leader", leaderURL)
 }
 
 // LeaderURL returns the base URL the follower currently streams from.
@@ -311,8 +321,8 @@ func (f *Follower) Run(ctx context.Context) error {
 		f.retargeted = false
 		leader := f.leader
 		f.mu.Unlock()
-		f.logf("repl: stream to %s ended after %d frames (%v); reconnecting in ~%v",
-			leader, frames, err, backoff)
+		f.log.Info("stream ended; reconnecting",
+			"leader", leader, "frames", frames, "err", err, "backoff", backoff)
 		// Full jitter: sleep uniformly in [backoff/2, backoff).
 		timer.Reset(f.jitter(backoff))
 		select {
@@ -410,7 +420,7 @@ func (f *Follower) stream(ctx context.Context) (int, error) {
 			Detail:   "stream to " + leader + " ended",
 		})
 	}()
-	f.logf("repl: streaming from %s (resume from seq %d)", leader, from)
+	f.log.Info("streaming from leader", "leader", leader, "from", from)
 
 	// Watchdog: a stream that goes silent past staleAfter is dead
 	// (half-open TCP, wedged proxy); cancel the request to unblock
@@ -456,6 +466,11 @@ func (f *Follower) handle(typ byte, payload []byte) error {
 			f.mu.Unlock()
 			return fmt.Errorf("repl: heartbeat from deposed leader: epoch %d below local fence %d", hb.Epoch, fence)
 		}
+		// A member never follows itself: renewing the lease from our own
+		// stream would keep this node from ever rediscovering the leader.
+		if f.self != "" && hb.LeaderID == f.self {
+			return fmt.Errorf("repl: heartbeat names this node (%s) as its leader", f.self)
+		}
 		f.mu.Lock()
 		if hb.Seq > f.st.LeaderSeq {
 			f.st.LeaderSeq = hb.Seq
@@ -466,7 +481,10 @@ func (f *Follower) handle(typ byte, payload []byte) error {
 		if hb.Epoch > f.streamEpoch {
 			f.streamEpoch = hb.Epoch
 		}
-		if hb.LeaderID != "" {
+		// In cluster mode a heartbeat naming no one is news too: the
+		// serving member lost track of the leader, so keeping the old
+		// name would let its stream renew a lease it no longer carries.
+		if hb.LeaderID != "" || f.self != "" {
 			f.st.LeaderID = hb.LeaderID
 		}
 		if hb.LeaseMillis > 0 {
@@ -518,7 +536,7 @@ func (f *Follower) handle(typ byte, payload []byte) error {
 		f.st.SnapshotLoads++
 		f.unsynced = 0
 		f.mu.Unlock()
-		f.logf("repl: bootstrapped from snapshot at seq %d (%d facts)", seq, len(facts))
+		f.log.Info("bootstrapped from snapshot", "seq", seq, "facts", len(facts))
 		return nil
 
 	case FrameTxn:

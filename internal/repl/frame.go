@@ -87,7 +87,9 @@ type Heartbeat struct {
 	Seq int `json:"seq"`
 	// Epoch is the leader's current leadership epoch.
 	Epoch int64 `json:"epoch,omitempty"`
-	// LeaderID and LeaderURL identify the sending leader.
+	// LeaderID and LeaderURL identify the leader as the sending member
+	// knows it: itself while it leads, the leader it follows when it
+	// relays.
 	LeaderID  string `json:"leaderId,omitempty"`
 	LeaderURL string `json:"leaderUrl,omitempty"`
 	// LeaseMillis is the lease duration this heartbeat renews: a

@@ -32,13 +32,13 @@ type Leader struct {
 	// resumes from its sequence, served from history).
 	buffer int
 
-	// id/selfURL identify this leader in heartbeats, and lease is the
-	// lease duration each heartbeat renews (zero outside cluster mode;
-	// see NodeConfig). All three ride the Heartbeat frame so followers
-	// learn who leads and how long its lease runs.
-	id      string
-	selfURL string
-	lease   time.Duration
+	// leader names the member this server believes leads (itself while
+	// it leads), and lease is the lease duration each heartbeat renews;
+	// both are unset outside cluster mode (see NodeConfig). They ride
+	// the Heartbeat frame so followers learn who leads and how long its
+	// lease runs.
+	leader func() (id, url string)
+	lease  time.Duration
 
 	met leaderMetrics
 }
@@ -75,24 +75,15 @@ func WithStreamBuffer(n int) LeaderOption {
 	}
 }
 
-// WithLeaderIdentity stamps heartbeats with this leader's node ID and
-// advertised URL, and with the lease duration each heartbeat renews.
-// Cluster mode (repl.Node) sets it; a standalone leader leaves
-// heartbeats bare.
-func WithLeaderIdentity(id, selfURL string, lease time.Duration) LeaderOption {
-	return func(l *Leader) {
-		l.id, l.selfURL = id, selfURL
-		if lease > 0 {
-			l.lease = lease
-		}
-	}
-}
-
-// SetIdentity is the post-construction form of WithLeaderIdentity,
-// for servers that learn their cluster identity after building the
-// leader. Call before serving streams.
-func (l *Leader) SetIdentity(id, selfURL string, lease time.Duration) {
-	l.id, l.selfURL = id, selfURL
+// SetIdentity stamps heartbeats with the member leader reports as
+// leading, and with the lease duration each heartbeat renews. Cluster
+// mode passes Node.Leader: a member that stops leading but still
+// serves a stream then names the leader it follows, not itself, so
+// its heartbeats cannot keep a lease alive for a leader that is gone.
+// A standalone leader leaves heartbeats bare. Call before serving
+// streams.
+func (l *Leader) SetIdentity(leader func() (id, url string), lease time.Duration) {
+	l.leader = leader
 	if lease > 0 {
 		l.lease = lease
 	}
@@ -275,13 +266,11 @@ func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // heartbeatFrame builds a heartbeat carrying the leader's sequence,
 // epoch, identity and lease (identity/lease only in cluster mode).
 func (l *Leader) heartbeatFrame(seq int, epoch int64) Heartbeat {
-	return Heartbeat{
-		Seq:         seq,
-		Epoch:       epoch,
-		LeaderID:    l.id,
-		LeaderURL:   l.selfURL,
-		LeaseMillis: l.lease.Milliseconds(),
+	hb := Heartbeat{Seq: seq, Epoch: epoch, LeaseMillis: l.lease.Milliseconds()}
+	if l.leader != nil {
+		hb.LeaderID, hb.LeaderURL = l.leader()
 	}
+	return hb
 }
 
 // txnFrame builds the wire frame for one committed transaction,

@@ -63,8 +63,8 @@ type Node struct {
 	f     *Follower
 	hc    *http.Client
 	// log carries the node's lifecycle records with node_id (and
-	// per-record epoch/seq) attrs; built from NodeConfig.Logger, or a
-	// forwarding handler over NodeConfig.Logf, or discard.
+	// per-record epoch/seq) attrs; built from NodeConfig.Logger, or
+	// discard.
 	log *slog.Logger
 	// ev is the cluster event journal (nil-safe).
 	ev *events.Log
@@ -148,12 +148,9 @@ type NodeConfig struct {
 	// HTTPClient overrides the client used for status polls, votes and
 	// acks.
 	HTTPClient *http.Client
-	// Logf receives lifecycle messages (elections, promotions,
-	// demotions, suspensions) as rendered lines; silent by default.
-	// Ignored when Logger is set.
-	Logf func(format string, args ...any)
-	// Logger receives the same lifecycle records structured (slog, with
-	// node_id/epoch/seq attrs). Takes precedence over Logf.
+	// Logger receives lifecycle records (elections, promotions,
+	// demotions, suspensions) with node_id/epoch/seq attrs; silent by
+	// default.
 	Logger *slog.Logger
 	// Events is the cluster event journal lifecycle events are emitted
 	// into (campaign started/won/lost, vote granted, leader demoted);
@@ -190,6 +187,7 @@ func NewNode(store *persist.Store, f *Follower, cfg NodeConfig) (*Node, error) {
 		peers[id] = strings.TrimRight(url, "/")
 	}
 	cfg.Peers = peers
+	f.self = cfg.ID
 	n := &Node{
 		cfg:     cfg,
 		store:   store,
@@ -205,47 +203,12 @@ func NewNode(store *persist.Store, f *Follower, cfg NodeConfig) (*Node, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		if cfg.Logf != nil {
-			logger = slog.New(logfHandler{logf: cfg.Logf})
-		} else {
-			logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-		}
+		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	n.log = logger.With("node_id", cfg.ID)
 	n.cond = sync.NewCond(&n.mu)
 	return n, nil
 }
-
-// logfHandler adapts a printf-style sink to slog so NodeConfig.Logf
-// keeps working: each record is rendered as "msg key=val ...". Levels
-// are not filtered (the legacy sink received everything).
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("repl: %s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return h
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 // Lease returns the configured lease duration.
 func (n *Node) Lease() time.Duration { return n.cfg.Lease }
@@ -447,7 +410,10 @@ func (n *Node) startFollowing(ctx context.Context) {
 func (n *Node) followerTick(ctx context.Context) {
 	st := n.f.Status()
 	n.mu.Lock()
-	if st.LastFrame.After(n.contact) {
+	// Only a stream naming the leader this node follows renews its
+	// lease. With no leader known, or a stream still pointed at a member
+	// that no longer leads, the node must rediscover.
+	if n.leaderID != "" && st.LeaderID == n.leaderID && st.LastFrame.After(n.contact) {
 		n.contact = st.LastFrame
 	}
 	contact := n.contact
@@ -492,6 +458,15 @@ func (n *Node) campaign(ctx context.Context, force bool) {
 
 	reachable := len(statuses) + 1
 	if reachable < n.majority() {
+		// No election can succeed from here, so the leader we knew is
+		// live only if it still answers as one. Otherwise forget it:
+		// writes here then get 503 (no leader), not a 421 naming a dead
+		// member.
+		n.mu.Lock()
+		if st, ok := statuses[n.leaderID]; !ok || st.Role != "leader" {
+			n.leaderID, n.leaderURL = "", ""
+		}
+		n.mu.Unlock()
 		n.log.Warn("election blocked: majority unreachable",
 			"reachable", reachable, "members", n.members(), "need", n.majority(),
 			"epoch", n.store.Epoch(), "seq", n.store.Seq())
@@ -647,14 +622,27 @@ func (n *Node) promote(epoch int64, grants int) {
 	})
 }
 
+// reportedLeader vets a peer's report of who leads. A report naming
+// this node is "leader unknown": a peer that has only voted in a newer
+// epoch still names the deposed leader, and following ourselves would
+// renew our own lease forever. The zero contact time it returns then
+// makes the next followerTick rediscover at once.
+func (n *Node) reportedLeader(id, url string) (string, string, time.Time) {
+	if id == n.cfg.ID || (url != "" && url == n.cfg.SelfURL) {
+		return "", "", time.Time{}
+	}
+	return id, url, time.Now()
+}
+
 // demote steps down to follower, pointing the streaming loop at the
 // new leader when known.
 func (n *Node) demote(leaderID, leaderURL string) {
+	leaderID, leaderURL, contact := n.reportedLeader(leaderID, leaderURL)
 	n.mu.Lock()
 	wasLeader := n.role == RoleLeader
 	n.role = RoleFollower
 	n.leaderID, n.leaderURL = leaderID, leaderURL
-	n.contact = time.Now()
+	n.contact = contact
 	n.suspended = false
 	runCtx := n.runCtx
 	n.cond.Broadcast()
@@ -677,7 +665,7 @@ func (n *Node) demote(leaderID, leaderURL string) {
 			Type:     events.LeaderDemoted,
 			Epoch:    epoch,
 			StoreSeq: n.store.Seq(),
-			Peer:     leaderID,
+			Peer:     leaderID, // the leader adopted; empty when unknown
 			Detail:   "stepped down after seeing a higher epoch",
 		})
 	}
@@ -685,10 +673,11 @@ func (n *Node) demote(leaderID, leaderURL string) {
 
 // adoptLeader records a discovered leader and retargets the stream.
 func (n *Node) adoptLeader(leaderID, leaderURL string) {
+	leaderID, leaderURL, contact := n.reportedLeader(leaderID, leaderURL)
 	n.mu.Lock()
 	n.role = RoleFollower
 	n.leaderID, n.leaderURL = leaderID, leaderURL
-	n.contact = time.Now()
+	n.contact = contact
 	n.cond.Broadcast()
 	n.mu.Unlock()
 	n.met.setRole(RoleFollower)

@@ -25,7 +25,8 @@ import (
 // node.Run, which drives the follower); the server wires them into
 // the writable gate, /v1/healthz, the metrics registry and the
 // /v1/repl endpoints, and stamps the replication stream's heartbeats
-// with this node's identity and lease so followers track it.
+// with the leader this node knows (itself while it leads) and its
+// lease so followers track it.
 func NewClusterMember(store *persist.Store, follower *repl.Follower, node *repl.Node) *Server {
 	s := New(store)
 	s.follower = follower
@@ -34,7 +35,7 @@ func NewClusterMember(store *persist.Store, follower *repl.Follower, node *repl.
 	}
 	s.node = node
 	node.Instrument(s.reg)
-	s.leader.SetIdentity(node.ID(), node.SelfURL(), node.Lease())
+	s.leader.SetIdentity(node.Leader, node.Lease())
 	return s
 }
 

@@ -29,7 +29,6 @@ type engineMetrics struct {
 	stale      *metrics.Counter
 	groundings *metrics.Counter
 	derivs     *metrics.Counter
-	shards     *metrics.Counter
 	newFacts   *metrics.Counter
 	blocked    *metrics.Gauge
 	runSeconds *metrics.Histogram
@@ -69,8 +68,6 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 			"Rule groundings enumerated, before per-step dedup and blocked-set filtering."),
 		derivs: reg.Counter("park_engine_derivations_total",
 			"Rule-instance derivations that produced a head (after dedup and blocked filtering)."),
-		shards: reg.Counter("park_engine_shards_total",
-			"Preset-binding chunks dispatched to the parallel Γ worker pool."),
 		newFacts: reg.Counter("park_engine_new_facts_total",
 			"Marked atoms added to interpretations, summed over phases."),
 		blocked: reg.Gauge("park_engine_blocked_instances",
@@ -100,7 +97,6 @@ func (m *engineMetrics) recordRun(rs core.RunStats) {
 	m.stale.Add(int64(rs.StaleConflicts))
 	m.groundings.Add(rs.Groundings)
 	m.derivs.Add(rs.Derivations)
-	m.shards.Add(rs.Shards)
 	m.newFacts.Add(rs.NewFacts)
 	m.blocked.Set(int64(rs.BlockedInstances))
 	m.runSeconds.Observe(rs.Wall.Seconds())

@@ -560,10 +560,10 @@ func (s *Server) handleTransaction(w http.ResponseWriter, r *http.Request) {
 	s.em.recordRun(res.RunStats)
 	resp := TransactionResponse{
 		Facts:       factStrings(u, res.Output),
-		Phases:      res.Stats.Phases,
+		Phases:      res.RunStats.Phases,
 		Restarts:    res.RunStats.Restarts,
-		Steps:       res.Stats.Steps,
-		Blocked:     res.Stats.BlockedInstances,
+		Steps:       res.RunStats.Steps,
+		Blocked:     res.RunStats.BlockedInstances,
 		WallSeconds: res.RunStats.Wall.Seconds(),
 		Seq:         info.Seq,
 		Epoch:       info.Epoch,

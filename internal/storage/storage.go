@@ -84,9 +84,8 @@ func (r *Relation) ID(row int) int32 { return r.ids[row] }
 func (r *Relation) IDs() []int32 { return r.ids }
 
 // ensureIndex extends (building if necessary) the hash index for
-// column c to cover all current rows. When the index is already
-// current the method performs no writes, so concurrent readers are
-// safe after EnsureAllIndexes has frozen the relation.
+// column c to cover all current rows. It writes to the relation, so
+// even Probe is not safe for concurrent use.
 func (r *Relation) ensureIndex(c int) map[int32][]int32 {
 	idx := r.cols[c]
 	n := r.Len()
@@ -103,15 +102,6 @@ func (r *Relation) ensureIndex(c int) map[int32][]int32 {
 	}
 	r.builtUpTo[c] = n
 	return idx
-}
-
-// EnsureAllIndexes brings every column index up to date. After this,
-// Probe and Scan perform no writes until the next Append or Truncate,
-// making the relation safe for concurrent readers.
-func (r *Relation) EnsureAllIndexes() {
-	for c := 0; c < r.arity; c++ {
-		r.ensureIndex(c)
-	}
 }
 
 // Probe returns the row indexes whose column c equals v, using (and
@@ -185,17 +175,6 @@ func (s *Store) Pred(pred int32, arity int) *PredStore {
 // Lookup returns the PredStore for the predicate, or nil if the store
 // has never seen it.
 func (s *Store) Lookup(pred int32) *PredStore { return s.preds[pred] }
-
-// BuildAllIndexes freezes every relation for concurrent readers (see
-// Relation.EnsureAllIndexes). Index maintenance is incremental, so
-// calling this repeatedly costs only the newly appended rows.
-func (s *Store) BuildAllIndexes() {
-	for _, ps := range s.preds {
-		ps.Base.EnsureAllIndexes()
-		ps.Plus.EnsureAllIndexes()
-		ps.Minus.EnsureAllIndexes()
-	}
-}
 
 // ResetPhase truncates every plus and minus relation, restoring the
 // store to the base snapshot. Base relations and their indexes are

@@ -50,8 +50,8 @@ func TestChain(t *testing.T) {
 	if count != 11 {
 		t.Fatalf("reach atoms = %d, want 11", count)
 	}
-	if res.Stats.Conflicts != 0 {
-		t.Fatalf("conflicts = %d", res.Stats.Conflicts)
+	if res.RunStats.Conflicts != 0 {
+		t.Fatalf("conflicts = %d", res.RunStats.Conflicts)
 	}
 }
 
@@ -86,11 +86,11 @@ func TestConflictLadderRestarts(t *testing.T) {
 	for _, k := range []int{1, 3, 7} {
 		sc := ConflictLadder(k)
 		_, res := runScenario(t, sc)
-		if res.Stats.Conflicts != k {
-			t.Fatalf("ladder-%d: conflicts = %d, want %d", k, res.Stats.Conflicts, k)
+		if res.RunStats.Conflicts != k {
+			t.Fatalf("ladder-%d: conflicts = %d, want %d", k, res.RunStats.Conflicts, k)
 		}
-		if res.Stats.Phases != k+1 {
-			t.Fatalf("ladder-%d: phases = %d, want %d", k, res.Stats.Phases, k+1)
+		if res.RunStats.Phases != k+1 {
+			t.Fatalf("ladder-%d: phases = %d, want %d", k, res.RunStats.Phases, k+1)
 		}
 	}
 }
@@ -98,11 +98,11 @@ func TestConflictLadderRestarts(t *testing.T) {
 func TestWideConflictsSingleRestart(t *testing.T) {
 	sc := WideConflicts(6)
 	_, res := runScenario(t, sc)
-	if res.Stats.Conflicts != 6 {
-		t.Fatalf("conflicts = %d, want 6", res.Stats.Conflicts)
+	if res.RunStats.Conflicts != 6 {
+		t.Fatalf("conflicts = %d, want 6", res.RunStats.Conflicts)
 	}
-	if res.Stats.Phases != 2 {
-		t.Fatalf("phases = %d, want 2 (all conflicts resolved in one restart)", res.Stats.Phases)
+	if res.RunStats.Phases != 2 {
+		t.Fatalf("phases = %d, want 2 (all conflicts resolved in one restart)", res.RunStats.Phases)
 	}
 }
 
@@ -173,7 +173,7 @@ func TestGrid(t *testing.T) {
 	}
 	// One applied Γ step per BFS frontier; the far corner is at
 	// distance 2(n-1) from the seeded origin.
-	if res.Stats.Steps != 2*(4-1) {
-		t.Fatalf("steps = %d, want %d", res.Stats.Steps, 2*(4-1))
+	if res.RunStats.Steps != 2*(4-1) {
+		t.Fatalf("steps = %d, want %d", res.RunStats.Steps, 2*(4-1))
 	}
 }

@@ -54,11 +54,9 @@ type (
 	Result = core.Result
 	// ResolvedConflict pairs a conflict with its decision.
 	ResolvedConflict = core.ResolvedConflict
-	// Stats summarizes one evaluation.
-	Stats = core.Stats
-	// RunStats extends Stats with operational counters and timings
-	// (Γ-step split, groundings, parallel shards, SELECT outcomes,
-	// per-phase wall time).
+	// RunStats summarizes one evaluation: phases, steps, conflicts,
+	// the Γ-step split, groundings, SELECT outcomes and per-phase
+	// wall time.
 	RunStats = core.RunStats
 	// Tracer observes an evaluation.
 	Tracer = core.Tracer

@@ -3,6 +3,8 @@ package park_test
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -156,11 +158,22 @@ func TestQuickDeterminism(t *testing.T) {
 		if park.FormatDatabase(u1, r1.Output) != park.FormatDatabase(u2, r2.Output) {
 			return false
 		}
-		return r1.Stats == r2.Stats
+		return reflect.DeepEqual(counters(r1.RunStats), counters(r2.RunStats))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// counters strips the wall-clock fields from rs, leaving what a
+// deterministic run must reproduce exactly.
+func counters(rs park.RunStats) park.RunStats {
+	rs.Wall, rs.PhaseWall = 0, nil
+	rs.Rules = slices.Clone(rs.Rules)
+	for i := range rs.Rules {
+		rs.Rules[i].MatchNanos = 0
+	}
+	return rs
 }
 
 // Property: the engine configurations (naive/semi-naive, indexed/
@@ -175,7 +188,7 @@ func TestQuickConfigEquivalence(t *testing.T) {
 			if park.FormatDatabase(u, r.Output) != want {
 				return false
 			}
-			if r.Stats.Conflicts != base.Stats.Conflicts || r.Stats.Phases != base.Stats.Phases {
+			if r.RunStats.Conflicts != base.RunStats.Conflicts || r.RunStats.Phases != base.RunStats.Phases {
 				return false
 			}
 		}
@@ -192,8 +205,8 @@ func TestQuickTerminationBound(t *testing.T) {
 	f := func(seed int64) bool {
 		sc := workload.RandomProgram(12, 4, 3, seed%1000)
 		r, _ := evalScenario(t, sc, park.Inertia(), park.Options{})
-		restarts := r.Stats.Phases - 1
-		return restarts >= 0 && r.Stats.BlockedInstances >= restarts
+		restarts := r.RunStats.Phases - 1
+		return restarts >= 0 && r.RunStats.BlockedInstances >= restarts
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -232,7 +245,7 @@ func TestQuickConflictFreeEqualsInflationary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Conflicts != 0 {
+		if res.RunStats.Conflicts != 0 {
 			t.Fatalf("seed %d: statically conflict-free program raised a conflict", seed)
 		}
 		a, b := park.FormatDatabase(u, infl), park.FormatDatabase(u, res.Output)

@@ -112,11 +112,11 @@ func TestResolveOneVariant(t *testing.T) {
 		t.Fatalf("results diverge: %s vs %s",
 			park.FormatDatabase(uAll, all.Output), park.FormatDatabase(uOne, one.Output))
 	}
-	if one.Stats.Phases <= all.Stats.Phases {
-		t.Fatalf("ResolveOne phases = %d, want more than %d", one.Stats.Phases, all.Stats.Phases)
+	if one.RunStats.Phases <= all.RunStats.Phases {
+		t.Fatalf("ResolveOne phases = %d, want more than %d", one.RunStats.Phases, all.RunStats.Phases)
 	}
-	if one.Stats.BlockedInstances > all.Stats.BlockedInstances {
-		t.Fatalf("ResolveOne blocked %d > %d", one.Stats.BlockedInstances, all.Stats.BlockedInstances)
+	if one.RunStats.BlockedInstances > all.RunStats.BlockedInstances {
+		t.Fatalf("ResolveOne blocked %d > %d", one.RunStats.BlockedInstances, all.RunStats.BlockedInstances)
 	}
 }
 
