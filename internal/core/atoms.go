@@ -101,25 +101,25 @@ func (u *Universe) Arity(pred Sym) (int, bool) {
 	return a, ok
 }
 
-func atomKey(pred Sym, args []Sym) string {
-	var buf [binary.MaxVarintLen32]byte
-	b := make([]byte, 0, (len(args)+1)*3)
-	n := binary.PutUvarint(buf[:], uint64(pred))
-	b = append(b, buf[:n]...)
+// appendAtomKey appends the index key of pred(args...) to b. Callers
+// build it in a stack buffer, so looking up a known atom allocates
+// nothing; only a new atom's key is copied into the index.
+func appendAtomKey(b []byte, pred Sym, args []Sym) []byte {
+	b = binary.AppendUvarint(b, uint64(pred))
 	for _, a := range args {
-		n = binary.PutUvarint(buf[:], uint64(a))
-		b = append(b, buf[:n]...)
+		b = binary.AppendUvarint(b, uint64(a))
 	}
-	return string(b)
+	return b
 }
 
 // InternAtom returns the AID for the ground atom pred(args...),
 // interning it if new. It returns an error on arity mismatch.
 func (u *Universe) InternAtom(pred Sym, args []Sym) (AID, error) {
-	key := atomKey(pred, args)
+	var buf [64]byte
+	key := appendAtomKey(buf[:0], pred, args)
 	// Fast path: the atom (and its pinned arity) already exist.
 	u.mu.RLock()
-	id, ok := u.index[key]
+	id, ok := u.index[string(key)]
 	u.mu.RUnlock()
 	if ok {
 		return id, nil
@@ -129,23 +129,24 @@ func (u *Universe) InternAtom(pred Sym, args []Sym) (AID, error) {
 	if err := u.pinArityLocked(pred, len(args)); err != nil {
 		return -1, err
 	}
-	if id, ok := u.index[key]; ok {
+	if id, ok := u.index[string(key)]; ok {
 		return id, nil
 	}
 	id = AID(len(u.atoms))
 	cp := make([]Sym, len(args))
 	copy(cp, args)
 	u.atoms = append(u.atoms, groundAtom{pred: pred, args: cp})
-	u.index[key] = id
+	u.index[string(key)] = id
 	return id, nil
 }
 
 // LookupAtom returns the AID of a ground atom if it has been interned.
 func (u *Universe) LookupAtom(pred Sym, args []Sym) (AID, bool) {
-	key := atomKey(pred, args)
+	var buf [64]byte
+	key := appendAtomKey(buf[:0], pred, args)
 	u.mu.RLock()
 	defer u.mu.RUnlock()
-	id, ok := u.index[key]
+	id, ok := u.index[string(key)]
 	return id, ok
 }
 

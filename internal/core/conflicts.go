@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // resolveConflicts builds the conflict triples for the atoms on which
 // the pending Γ step is inconsistent, resolves each with the SELECT
@@ -100,15 +100,14 @@ func (e *Engine) conflictSide(op HeadOp, atom AID) (side []Grounding, stale bool
 	if !marked {
 		return nil, false
 	}
-	pm := rs.prov[provKey{op, atom}]
-	keys := make([]string, 0, len(pm))
-	for k := range pm {
-		keys = append(keys, k)
+	for _, d := range rs.prov {
+		if d.Op == op && d.Atom == atom {
+			side = append(side, d.Grounding)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		side = append(side, pm[k])
-	}
+	// In key order and without the re-derivations logged twice.
+	slices.SortFunc(side, compareGroundings)
+	side = slices.CompactFunc(side, func(a, b Grounding) bool { return compareGroundings(a, b) == 0 })
 	return side, true
 }
 
@@ -121,14 +120,14 @@ func (e *Engine) validGroundingsFor(op HeadOp, atom AID) []Grounding {
 	pred := e.u.AtomPred(atom)
 	args := e.u.AtomArgs(atom)
 	var out []Grounding
-	seen := make(map[string]struct{})
+	var seen groundingSet
 	m := newMatcher(rs.in)
 	for ri := range rs.progU.Rules {
 		r := &rs.progU.Rules[ri]
 		if r.Op != op || r.Head.Pred != pred {
 			continue
 		}
-		preset, ok := unifyAtomArgs(r, r.Head, args)
+		preset, ok := unifyAtomArgs(nil, r, r.Head, args)
 		if !ok {
 			continue
 		}
@@ -139,14 +138,8 @@ func (e *Engine) validGroundingsFor(op HeadOp, atom AID) []Grounding {
 			// is not a head variable ranges freely, producing distinct
 			// groundings that all derive ±atom, as in the paper's
 			// graph example where r3's z ranges over all constants.
-			g := Grounding{Rule: int32(ri), Args: append([]Sym(nil), binding...)}
-			k := g.Key()
-			if _, dup := seen[k]; dup {
-				return true
-			}
-			seen[k] = struct{}{}
-			if !rs.blocked.HasKey(k) {
-				out = append(out, g)
+			if seen.add(int32(ri), binding) && !rs.blocked.Has(Grounding{Rule: int32(ri), Args: binding}) {
+				out = append(out, Grounding{Rule: int32(ri), Args: append([]Sym(nil), binding...)})
 			}
 			return true
 		})

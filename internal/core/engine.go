@@ -51,6 +51,12 @@ var ErrNoProgress = errors.New("park: inconsistency without resolvable conflict 
 type Result struct {
 	// Output is PARK(P, D, U): the result database instance.
 	Output *Database
+	// Inserted and Deleted are the changes from D to Output, read from
+	// the surviving marks in derivation order: the "+"-marked atoms not
+	// in D and the "-"-marked atoms in D. As sets they are the
+	// insertions and the deletions of Diff(D, Output).
+	Inserted []AID
+	Deleted  []AID
 	// RunStats carries the run's counters and timings.
 	RunStats RunStats
 	// Blocked is the final blocked set B in blocking order.
@@ -83,7 +89,9 @@ type RuleStat struct {
 	Fires int64
 	// MatchNanos is the cumulative wall-clock time spent enumerating
 	// this rule's groundings during Γ steps (body matching plus the
-	// fold-in of each grounding).
+	// fold-in of each grounding). It is measured once per rule per Γ
+	// step, in the steps that enumerate the rule: every full step, and
+	// the delta steps whose delta triggers one of its body literals.
 	MatchNanos int64
 	// ConflictWins and ConflictLosses count this rule's groundings on
 	// the winning resp. losing side of resolved conflict triples.
@@ -138,7 +146,8 @@ type RunStats struct {
 	DeleteDecisions int
 	// PhaseWall is the wall-clock duration of each phase, in order.
 	PhaseWall []time.Duration
-	// Wall is the total wall-clock duration of the run.
+	// Wall is the total wall-clock duration of the run, building the
+	// Output included.
 	Wall time.Duration
 	// Rules aggregates per-rule counters, indexed like P_U (program
 	// rules first, then the transaction's update rules). The per-rule
@@ -187,31 +196,31 @@ func (e *Engine) Program() *Program { return e.prog }
 // phase-limit or context-cancellation aborts.
 func (e *Engine) RunStats() RunStats { return e.lastRun }
 
-type provKey struct {
-	op   HeadOp
-	atom AID
-}
-
-// candidate is one derivation produced by a Γ step before it is
-// applied.
-type candidate struct {
-	op   HeadOp
-	atom AID
-}
-
 type runState struct {
 	progU   *Program // P_U
 	d       *Database
 	in      *Interp
 	blocked *BlockedSet
-	// prov records, per marked atom, every grounding that derived it
-	// during the current phase (pruned on restart).
-	prov map[provKey]map[string]Grounding
+	// prov logs, in order, every derivation of the current phase that
+	// survived dedup and the blocked filter; it is cleared on restart.
+	// A grounding re-enumerated in a later step is logged again. Its
+	// readers, the stale conflict side and the Explainer, filter it by
+	// mark and order it by Grounding.Key.
+	prov []Derivation
+	args symArena // backs the substitutions of the groundings in prov
 
 	// per-step scratch
-	stepSeen  map[string]struct{} // grounding keys enumerated this step
-	stepFacts []candidate
-	stepHave  map[provKey]struct{}
+	stepSeen  groundingSet // groundings enumerated this step
+	stepFacts []MarkedAtom // candidate marks, in derivation order
+	stepHave  [2]bitset    // stepFacts as sets of atoms, by HeadOp
+	headArgs  []Sym
+	preset    []Sym
+
+	// rule is the rule whose groundings the matcher is yielding; yield
+	// is processGrounding, bound once per run so that handing it to the
+	// matcher allocates nothing.
+	rule  int32
+	yield func([]Sym) bool
 
 	// deltas from the previously applied step (semi-naive)
 	deltaPlus  []AID
@@ -243,16 +252,14 @@ func (e *Engine) Run(ctx context.Context, d *Database, updates []Update) (*Resul
 		tracer = NopTracer{}
 	}
 	rs := &runState{
-		rules:    make([]RuleStat, len(progU.Rules)),
-		progU:    progU,
-		d:        d,
-		in:       NewInterp(e.u, d),
-		blocked:  NewBlockedSet(),
-		prov:     make(map[provKey]map[string]Grounding),
-		stepSeen: make(map[string]struct{}),
-		stepHave: make(map[provKey]struct{}),
-		tracer:   tracer,
+		rules:   make([]RuleStat, len(progU.Rules)),
+		progU:   progU,
+		d:       d,
+		in:      NewInterp(e.u, d),
+		blocked: NewBlockedSet(),
+		tracer:  tracer,
 	}
+	rs.yield = e.processGrounding
 	rs.in.UseIndex = !e.opts.NoIndex
 	// Alias the per-rule counters into the stats snapshot so partial
 	// counts survive a failed run via e.lastRun.
@@ -266,7 +273,9 @@ func (e *Engine) Run(ctx context.Context, d *Database, updates []Update) (*Resul
 	e.run = rs
 	start := time.Now()
 	defer func() {
-		rs.stats.Wall = time.Since(start)
+		if rs.stats.Wall == 0 { // a failed run
+			rs.stats.Wall = time.Since(start)
+		}
 		rs.stats.Restarts = rs.stats.Phases - 1
 		if rs.stats.Restarts < 0 {
 			rs.stats.Restarts = 0
@@ -291,17 +300,19 @@ func (e *Engine) Run(ctx context.Context, d *Database, updates []Update) (*Resul
 		}
 	}
 	rs.stats.BlockedInstances = rs.blocked.Len()
-	rs.stats.Wall = time.Since(start)
 	rs.stats.Restarts = rs.stats.Phases - 1
 	res := &Result{
 		Output:    rs.in.Incorp(),
-		RunStats:  rs.stats,
 		Blocked:   append([]Grounding(nil), rs.blocked.All()...),
 		Conflicts: rs.conflicts,
 	}
+	res.Inserted, res.Deleted = rs.in.changes()
 	if e.opts.Explain {
-		res.Explainer = &Explainer{u: e.u, prog: progU, in: rs.in, prov: rs.prov}
+		res.Explainer = newExplainer(e.u, progU, rs.in, rs.prov)
 	}
+	// Stamped last, so that Wall covers building the Output.
+	rs.stats.Wall = time.Since(start)
+	res.RunStats = rs.stats
 	return res, nil
 }
 
@@ -311,7 +322,7 @@ func (e *Engine) Run(ctx context.Context, d *Database, updates []Update) (*Resul
 func (e *Engine) runPhase(ctx context.Context) (bool, error) {
 	rs := e.run
 	rs.in.ResetPhase()
-	clear(rs.prov)
+	rs.prov = rs.prov[:0]
 	rs.deltaPlus, rs.deltaMinus = nil, nil
 	rs.tracer.PhaseStart(rs.stats.Phases)
 
@@ -350,18 +361,16 @@ func (e *Engine) applyStep(step int) {
 	rs := e.run
 	rs.deltaPlus = rs.deltaPlus[:0]
 	rs.deltaMinus = rs.deltaMinus[:0]
-	added := make([]MarkedAtom, 0, len(rs.stepFacts))
 	for _, c := range rs.stepFacts {
-		if c.op == OpInsert {
-			rs.in.AddPlus(c.atom)
-			rs.deltaPlus = append(rs.deltaPlus, c.atom)
+		if c.Op == OpInsert {
+			rs.in.AddPlus(c.Atom)
+			rs.deltaPlus = append(rs.deltaPlus, c.Atom)
 		} else {
-			rs.in.AddMinus(c.atom)
-			rs.deltaMinus = append(rs.deltaMinus, c.atom)
+			rs.in.AddMinus(c.Atom)
+			rs.deltaMinus = append(rs.deltaMinus, c.Atom)
 		}
-		added = append(added, MarkedAtom{Op: c.op, Atom: c.atom})
 	}
 	rs.stats.Steps++
-	rs.stats.NewFacts += int64(len(added))
-	rs.tracer.StepApplied(rs.stats.Phases, step, added)
+	rs.stats.NewFacts += int64(len(rs.stepFacts))
+	rs.tracer.StepApplied(rs.stats.Phases, step, rs.stepFacts)
 }

@@ -3,6 +3,9 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +18,13 @@ import (
 // runPark parses and evaluates one scenario, failing the test on any
 // setup error.
 func runPark(t *testing.T, progSrc, dbSrc, updSrc string, strategy core.Strategy, opts core.Options) (*core.Universe, *core.Result) {
+	t.Helper()
+	u, _, res := runParkDB(t, progSrc, dbSrc, updSrc, strategy, opts)
+	return u, res
+}
+
+// runParkDB is runPark that also returns the input database D.
+func runParkDB(t *testing.T, progSrc, dbSrc, updSrc string, strategy core.Strategy, opts core.Options) (*core.Universe, *core.Database, *core.Result) {
 	t.Helper()
 	u := core.NewUniverse()
 	prog, err := parser.ParseProgram(u, "prog", progSrc)
@@ -40,7 +50,7 @@ func runPark(t *testing.T, progSrc, dbSrc, updSrc string, strategy core.Strategy
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return u, res
+	return u, db, res
 }
 
 // dbString renders a database as a sorted comma-separated atom list.
@@ -348,6 +358,29 @@ func TestStaleConflictProvenance(t *testing.T) {
 	if len(res.Blocked) != 1 || res.Blocked[0].Rule != 0 {
 		t.Fatalf("blocked = %+v", res.Blocked)
 	}
+	if got := groundingsText(u, res.Conflicts[0].Conflict.Ins); got != "[0[]]" {
+		t.Fatalf("stale side = %s, want [0[]]", got)
+	}
+
+	// Two groundings of r1 derive +a and both go stale. The stale side
+	// lists each once, in key order — x2 was interned first — although
+	// r1 enumerated x1 first, and both are blocked in that order.
+	u, res = runPark(t, `
+		rule r1: p(X), !b -> +a.
+		rule r2: p(X) -> +b.
+		rule r3: b -> -a.
+	`, `q(x2). p(x1). p(x2).`, "", core.InertiaStrategy{}, core.Options{})
+	checkResult(t, u, res, "b, p(x1), p(x2), q(x2)")
+	if len(res.Conflicts) != 1 || res.RunStats.StaleConflicts != 1 {
+		t.Fatalf("conflicts = %d (stale %d), want 1 stale", len(res.Conflicts), res.RunStats.StaleConflicts)
+	}
+	const want = "[0[x2] 0[x1]]"
+	if got := groundingsText(u, res.Conflicts[0].Conflict.Ins); got != want {
+		t.Fatalf("stale side = %s, want %s", got, want)
+	}
+	if got := groundingsText(u, res.Blocked); got != want {
+		t.Fatalf("blocked = %s, want %s", got, want)
+	}
 }
 
 func TestStaleConflictStrictErrors(t *testing.T) {
@@ -533,18 +566,21 @@ func TestTextTracerOutput(t *testing.T) {
 	}
 }
 
+// engineScenarios covers conflicts, recursion, event rules with
+// updates, stale derivations and negation.
+var engineScenarios = []struct{ prog, db, upd string }{
+	{sec5Program, `p.`, ""},
+	{`p -> +q. p -> -a. q -> +a. !a -> +r. a -> +s.`, `p.`, ""},
+	{`edge(X,Y) -> +tc(X,Y). tc(X,Y), edge(Y,Z) -> +tc(X,Z).`, `edge(a,b). edge(b,c). edge(c,a).`, ""},
+	{`rule r1: p(X) -> +q(X). rule r2: q(X) -> +r(X). rule r3: +r(X) -> -s(X).`, `p(a). s(a). s(b).`, `+q(b).`},
+	{staleProgram, `p.`, ""},
+	{`q(X), !done -> +p(X). p(X) -> +done.`, `q(a). q(b).`, ""},
+}
+
 // Naive and semi-naive evaluation must agree on results and on the
 // number of conflicts for a suite of scenarios.
 func TestNaiveSeminaiveAgree(t *testing.T) {
-	scenarios := []struct{ prog, db, upd string }{
-		{sec5Program, `p.`, ""},
-		{`p -> +q. p -> -a. q -> +a. !a -> +r. a -> +s.`, `p.`, ""},
-		{`edge(X,Y) -> +tc(X,Y). tc(X,Y), edge(Y,Z) -> +tc(X,Z).`, `edge(a,b). edge(b,c). edge(c,a).`, ""},
-		{`rule r1: p(X) -> +q(X). rule r2: q(X) -> +r(X). rule r3: +r(X) -> -s(X).`, `p(a). s(a). s(b).`, `+q(b).`},
-		{staleProgram, `p.`, ""},
-		{`q(X), !done -> +p(X). p(X) -> +done.`, `q(a). q(b).`, ""},
-	}
-	for i, sc := range scenarios {
+	for i, sc := range engineScenarios {
 		u1, r1 := runPark(t, sc.prog, sc.db, sc.upd, core.InertiaStrategy{}, core.Options{})
 		u2, r2 := runPark(t, sc.prog, sc.db, sc.upd, core.InertiaStrategy{}, core.Options{Naive: true})
 		if dbString(u1, r1.Output) != dbString(u2, r2.Output) {
@@ -553,6 +589,43 @@ func TestNaiveSeminaiveAgree(t *testing.T) {
 		if r1.RunStats.Conflicts != r2.RunStats.Conflicts || r1.RunStats.Phases != r2.RunStats.Phases {
 			t.Fatalf("scenario %d: stats diverge: %+v vs %+v", i, r1.RunStats, r2.RunStats)
 		}
+	}
+}
+
+// Result.Inserted and Result.Deleted, read from the final marks, are
+// Diff(D, Output): the insertions in the same order, the deletions as a
+// set (the run lists them in derivation order, Diff in D's order).
+func TestResultChangesMatchDiff(t *testing.T) {
+	check := func(t *testing.T, name string, db *core.Database, res *core.Result) {
+		t.Helper()
+		var ins, del []core.AID
+		for _, up := range core.Diff(db, res.Output) {
+			if up.Op == core.OpInsert {
+				ins = append(ins, up.Atom)
+			} else {
+				del = append(del, up.Atom)
+			}
+		}
+		gotDel := slices.Clone(res.Deleted)
+		slices.Sort(gotDel)
+		slices.Sort(del)
+		if !slices.Equal(res.Inserted, ins) || !slices.Equal(gotDel, del) {
+			t.Fatalf("%s: inserted %v, deleted %v; Diff inserts %v, deletes %v", name, res.Inserted, res.Deleted, ins, del)
+		}
+	}
+	for i, sc := range engineScenarios {
+		_, db, res := runParkDB(t, sc.prog, sc.db, sc.upd, core.InertiaStrategy{}, core.Options{})
+		check(t, fmt.Sprintf("scenario %d", i), db, res)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		sc := workload.RandomProgram(10, 4, 4, seed)
+		rng := rand.New(rand.NewSource(seed))
+		var upd strings.Builder
+		for j := 0; j < 4; j++ {
+			fmt.Fprintf(&upd, "%cp%d(k%d). ", "+-"[rng.Intn(2)], rng.Intn(4), rng.Intn(4))
+		}
+		_, db, res := runParkDB(t, sc.Program, sc.Database, upd.String(), nil, core.Options{})
+		check(t, fmt.Sprintf("seed %d", seed), db, res)
 	}
 }
 

@@ -20,20 +20,16 @@ func GammaDerivations(in *Interp, p *Program, blocked *BlockedSet) []Derivation 
 	m := newMatcher(in)
 	u := in.Universe()
 	var out []Derivation
-	seen := make(map[string]struct{})
+	var seen groundingSet
 	var headArgs []Sym
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
 		m.Match(r, nil, func(binding []Sym) bool {
-			g := Grounding{Rule: int32(ri), Args: append([]Sym(nil), binding...)}
-			k := g.Key()
-			if _, dup := seen[k]; dup {
+			g := Grounding{Rule: int32(ri), Args: binding}
+			if !seen.add(g.Rule, binding) || (blocked != nil && blocked.Has(g)) {
 				return true
 			}
-			seen[k] = struct{}{}
-			if blocked != nil && blocked.HasKey(k) {
-				return true
-			}
+			g.Args = append([]Sym(nil), binding...)
 			headArgs = headArgs[:0]
 			for _, t := range r.Head.Args {
 				if t.IsVar() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -15,7 +14,21 @@ type Explainer struct {
 	u    *Universe
 	prog *Program
 	in   *Interp
-	prov map[provKey]map[string]Grounding
+	// first maps each mark to the grounding with the smallest key among
+	// those that derived it during the final phase.
+	first map[MarkedAtom]Grounding
+}
+
+// newExplainer indexes the final phase's provenance log.
+func newExplainer(u *Universe, prog *Program, in *Interp, prov []Derivation) *Explainer {
+	first := make(map[MarkedAtom]Grounding)
+	for _, d := range prov {
+		m := MarkedAtom{Op: d.Op, Atom: d.Atom}
+		if g, ok := first[m]; !ok || compareGroundings(d.Grounding, g) < 0 {
+			first[m] = d.Grounding
+		}
+	}
+	return &Explainer{u: u, prog: prog, in: in, first: first}
 }
 
 // ExplainStatus classifies an atom's situation in the final state.
@@ -118,16 +131,8 @@ func (ex *Explainer) explain(atom AID, visiting map[AID]bool) *Explanation {
 // firstDeriver returns the deterministically-first recorded grounding
 // that derived ±atom during the final phase.
 func (ex *Explainer) firstDeriver(op HeadOp, atom AID) (Grounding, bool) {
-	pm := ex.prov[provKey{op, atom}]
-	if len(pm) == 0 {
-		return Grounding{}, false
-	}
-	keys := make([]string, 0, len(pm))
-	for k := range pm {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return pm[keys[0]], true
+	g, ok := ex.first[MarkedAtom{Op: op, Atom: atom}]
+	return g, ok
 }
 
 // explainLiteral explains why one instantiated body literal held.

@@ -133,6 +133,21 @@ func TestExplainUpdateRule(t *testing.T) {
 	}
 }
 
+// Two groundings derive +q: late (rule 0) in step 2, early (rule 1) in
+// step 1. The explanation names the one with the smallest grounding
+// key, late, not the first in derivation order.
+func TestExplainSmallestKeyDeriver(t *testing.T) {
+	u, res := runExplain(t, `
+		rule late: t -> +q.
+		rule early: p -> +q.
+		rule mk: p -> +t.
+	`, `p.`, "")
+	e := res.Explainer.Explain(atomID(t, u, "q"))
+	if e.Status != core.StatusInserted || e.Rule != 0 {
+		t.Fatalf("q = %v by rule %d, want inserted by late (index 0)", e.Status, e.Rule)
+	}
+}
+
 func TestExplainAbsentAndBase(t *testing.T) {
 	u, res := runExplain(t, ``, `p(a).`, "")
 	ex := res.Explainer

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -20,16 +20,23 @@ import (
 // Positive and +event literals are triggered by newly "+"-marked
 // atoms, negative and -event literals by newly "-"-marked atoms.
 // The first step of every phase must be full.
+//
+// Each rule's MatchNanos is charged once per step, from its first
+// enumeration to its last, and only in steps that enumerate it.
 func (e *Engine) gammaStep(m *matcher, full bool) []AID {
 	rs := e.run
+	for _, c := range rs.stepFacts {
+		rs.stepHave[c.Op].unset(int(c.Atom))
+	}
 	rs.stepFacts = rs.stepFacts[:0]
-	clear(rs.stepSeen)
-	clear(rs.stepHave)
+	rs.stepSeen.reset()
 
 	if full {
 		rs.stats.FullSteps++
 		for ri := range rs.progU.Rules {
+			start := time.Now()
 			e.enumRule(m, ri, nil)
+			rs.rules[ri].MatchNanos += time.Since(start).Nanoseconds()
 		}
 	} else {
 		rs.stats.DeltaSteps++
@@ -37,6 +44,9 @@ func (e *Engine) gammaStep(m *matcher, full bool) []AID {
 		dm := groupByPred(e.u, rs.deltaMinus)
 		for ri := range rs.progU.Rules {
 			r := &rs.progU.Rules[ri]
+			// Most rules are not triggered by a given delta; reading the
+			// clock for each of them would cost more than their work.
+			var start time.Time
 			for li := range r.Body {
 				lit := r.Body[li]
 				var delta []AID
@@ -49,107 +59,103 @@ func (e *Engine) gammaStep(m *matcher, full bool) []AID {
 					continue
 				}
 				for _, aid := range delta {
-					preset, ok := unifyAtomArgs(r, lit.Atom, e.u.AtomArgs(aid))
+					var ok bool
+					rs.preset, ok = unifyAtomArgs(rs.preset, r, lit.Atom, e.u.AtomArgs(aid))
 					if !ok {
 						continue
 					}
-					e.enumRule(m, ri, preset)
+					if start.IsZero() {
+						start = time.Now()
+					}
+					e.enumRule(m, ri, rs.preset)
 				}
+			}
+			if !start.IsZero() {
+				rs.rules[ri].MatchNanos += time.Since(start).Nanoseconds()
 			}
 		}
 	}
 
 	var inconsistent []AID
-	seen := make(map[AID]struct{})
 	for _, c := range rs.stepFacts {
-		bad := false
-		if c.op == OpInsert {
-			if rs.in.HasMinus(c.atom) {
-				bad = true
-			} else if _, ok := rs.stepHave[provKey{OpDelete, c.atom}]; ok {
-				bad = true
-			}
-		} else {
-			if rs.in.HasPlus(c.atom) {
-				bad = true
-			} else if _, ok := rs.stepHave[provKey{OpInsert, c.atom}]; ok {
-				bad = true
-			}
+		other, marked := OpDelete, rs.in.HasMinus(c.Atom)
+		if c.Op == OpDelete {
+			other, marked = OpInsert, rs.in.HasPlus(c.Atom)
 		}
-		if bad {
-			if _, dup := seen[c.atom]; !dup {
-				seen[c.atom] = struct{}{}
-				inconsistent = append(inconsistent, c.atom)
-			}
+		if marked || rs.stepHave[other].get(int(c.Atom)) {
+			inconsistent = append(inconsistent, c.Atom)
 		}
 	}
-	sort.Slice(inconsistent, func(i, j int) bool { return inconsistent[i] < inconsistent[j] })
-	return inconsistent
+	// An atom whose both marks are candidates is listed twice.
+	slices.Sort(inconsistent)
+	return slices.Compact(inconsistent)
 }
 
 // enumRule enumerates the valid groundings of rule ri (optionally
-// restricted by a preset binding), recording provenance and collecting
-// new candidate facts.
+// restricted by a preset binding) and folds each into the step.
 func (e *Engine) enumRule(m *matcher, ri int, preset []Sym) {
-	start := time.Now()
-	m.Match(&e.run.progU.Rules[ri], preset, func(binding []Sym) bool {
-		e.processGrounding(Grounding{Rule: int32(ri), Args: append([]Sym(nil), binding...)})
-		return true
-	})
-	e.run.rules[ri].MatchNanos += time.Since(start).Nanoseconds()
+	e.run.rule = int32(ri)
+	m.Match(&e.run.progU.Rules[ri], preset, e.run.yield)
 }
 
-// processGrounding folds one valid grounding into the current step:
-// dedup, blocked filtering, head resolution, provenance and candidate
-// collection.
-func (e *Engine) processGrounding(g Grounding) {
+// processGrounding folds one valid grounding of rule rs.rule into the
+// current step: dedup, blocked filtering, head resolution, provenance
+// and candidate collection. binding is the matcher's scratch; it is
+// copied, into the run's arena, only once the grounding survives dedup
+// and the blocked filter. It is the matcher's yield and always asks
+// for more.
+func (e *Engine) processGrounding(binding []Sym) bool {
 	rs := e.run
+	ri := rs.rule
 	rs.stats.Groundings++
-	rs.rules[g.Rule].Groundings++
-	r := &rs.progU.Rules[g.Rule]
-	k := g.Key()
-	if _, ok := rs.stepSeen[k]; ok {
-		return
-	}
-	rs.stepSeen[k] = struct{}{}
-	if rs.blocked.HasKey(k) {
-		return
+	rs.rules[ri].Groundings++
+	if !rs.stepSeen.add(ri, binding) || rs.blocked.Has(Grounding{Rule: ri, Args: binding}) {
+		return true
 	}
 	rs.stats.Derivations++
-	rs.rules[g.Rule].Fires++
+	rs.rules[ri].Fires++
 
-	headArgs := make([]Sym, 0, len(r.Head.Args))
+	r := &rs.progU.Rules[ri]
+	rs.headArgs = rs.headArgs[:0]
 	for _, t := range r.Head.Args {
 		if t.IsVar() {
-			headArgs = append(headArgs, g.Args[t.Var()])
+			rs.headArgs = append(rs.headArgs, binding[t.Var()])
 		} else {
-			headArgs = append(headArgs, t.Const())
+			rs.headArgs = append(rs.headArgs, t.Const())
 		}
 	}
-	aid, err := e.u.InternAtom(r.Head.Pred, headArgs)
+	aid, err := e.u.InternAtom(r.Head.Pred, rs.headArgs)
 	if err != nil {
 		// Arities were pinned by Validate; a mismatch here is a bug.
 		panic(err)
 	}
-	pk := provKey{r.Op, aid}
-	pm := rs.prov[pk]
-	if pm == nil {
-		pm = make(map[string]Grounding)
-		rs.prov[pk] = pm
-	}
-	if _, ok := pm[k]; !ok {
-		pm[k] = g
-	}
+	rs.prov = append(rs.prov, Derivation{Op: r.Op, Atom: aid, Grounding: Grounding{Rule: ri, Args: rs.args.copy(binding)}})
 
 	already := (r.Op == OpInsert && rs.in.HasPlus(aid)) || (r.Op == OpDelete && rs.in.HasMinus(aid))
-	if already {
-		return
+	if already || rs.stepHave[r.Op].get(int(aid)) {
+		return true
 	}
-	if _, ok := rs.stepHave[pk]; ok {
-		return
+	rs.stepHave[r.Op].set(int(aid))
+	rs.stepFacts = append(rs.stepFacts, MarkedAtom{Op: r.Op, Atom: aid})
+	return true
+}
+
+// symArena hands out copies of substitutions carved from shared
+// chunks, which double in size as the run derives more. Chunks are
+// never reused: blocked sets, conflicts and explanations keep pointing
+// into them after the phase that logged them has restarted.
+type symArena struct{ chunk []Sym }
+
+func (a *symArena) copy(s []Sym) []Sym {
+	if len(s) == 0 {
+		return nil
 	}
-	rs.stepHave[pk] = struct{}{}
-	rs.stepFacts = append(rs.stepFacts, candidate{op: r.Op, atom: aid})
+	if len(s) > cap(a.chunk)-len(a.chunk) {
+		a.chunk = make([]Sym, 0, max(2*cap(a.chunk), 64, len(s)))
+	}
+	n := len(a.chunk)
+	a.chunk = append(a.chunk, s...)
+	return a.chunk[n:len(a.chunk):len(a.chunk)]
 }
 
 // groupByPred buckets atom ids by predicate.
@@ -166,13 +172,14 @@ func groupByPred(u *Universe, ids []AID) map[Sym][]AID {
 }
 
 // unifyAtomArgs unifies a rule atom against ground argument symbols,
-// producing a preset binding over the rule's variables (NoSym where
-// unconstrained). It reports false when unification fails.
-func unifyAtomArgs(r *Rule, a Atom, args []Sym) ([]Sym, bool) {
+// producing in dst's storage a preset binding over the rule's
+// variables (NoSym where unconstrained). It reports false when
+// unification fails.
+func unifyAtomArgs(dst []Sym, r *Rule, a Atom, args []Sym) ([]Sym, bool) {
+	preset := slices.Grow(dst[:0], r.NumVars)[:r.NumVars]
 	if len(a.Args) != len(args) {
-		return nil, false
+		return preset, false
 	}
-	preset := make([]Sym, r.NumVars)
 	for i := range preset {
 		preset[i] = NoSym
 	}
@@ -182,10 +189,10 @@ func unifyAtomArgs(r *Rule, a Atom, args []Sym) ([]Sym, bool) {
 			if preset[v] == NoSym {
 				preset[v] = args[i]
 			} else if preset[v] != args[i] {
-				return nil, false
+				return preset, false
 			}
 		} else if t.Const() != args[i] {
-			return nil, false
+			return preset, false
 		}
 	}
 	return preset, true

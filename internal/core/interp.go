@@ -15,6 +15,12 @@ func (b *bitset) set(i int) {
 	(*b)[w] |= 1 << (uint(i) & 63)
 }
 
+func (b bitset) unset(i int) {
+	if w := i >> 6; w < len(b) {
+		b[w] &^= 1 << (uint(i) & 63)
+	}
+}
+
 func (b bitset) get(i int) bool {
 	w := i >> 6
 	if w >= len(b) {
@@ -50,6 +56,8 @@ type Interp struct {
 	// UseIndex selects indexed vs linear matching; exposed for the
 	// indexing ablation benchmark. Defaults to true.
 	UseIndex bool
+
+	row []int32 // scratch for locate
 }
 
 // NewInterp returns the i-interpretation <D> with no marked atoms,
@@ -65,15 +73,16 @@ func NewInterp(u *Universe, d *Database) *Interp {
 // Universe returns the universe the interpretation is built over.
 func (in *Interp) Universe() *Universe { return in.u }
 
-func symsToInt32(args []Sym) []int32 {
-	if len(args) == 0 {
-		return nil
+// locate returns the relations of id's predicate and id's arguments as
+// a storage row. The row is scratch that the next call overwrites;
+// Relation.Append copies it.
+func (in *Interp) locate(id AID) (*storage.PredStore, []int32) {
+	ga, _ := in.u.atom(id)
+	in.row = in.row[:0]
+	for _, a := range ga.args {
+		in.row = append(in.row, int32(a))
 	}
-	out := make([]int32, len(args))
-	for i, a := range args {
-		out[i] = int32(a)
-	}
-	return out
+	return in.store.Pred(int32(ga.pred), len(ga.args)), in.row
 }
 
 func (in *Interp) addBase(id AID) {
@@ -82,8 +91,8 @@ func (in *Interp) addBase(id AID) {
 	}
 	in.base.set(int(id))
 	in.baseAtoms = append(in.baseAtoms, id)
-	ps := in.store.Pred(int32(in.u.AtomPred(id)), len(in.u.AtomArgs(id)))
-	ps.Base.Append(symsToInt32(in.u.AtomArgs(id)), int32(id))
+	ps, row := in.locate(id)
+	ps.Base.Append(row, int32(id))
 }
 
 // AddPlus marks +a. It must not be called when -a is present; the
@@ -94,8 +103,8 @@ func (in *Interp) AddPlus(id AID) {
 	}
 	in.plus.set(int(id))
 	in.plusAtoms = append(in.plusAtoms, id)
-	ps := in.store.Pred(int32(in.u.AtomPred(id)), len(in.u.AtomArgs(id)))
-	ps.Plus.Append(symsToInt32(in.u.AtomArgs(id)), int32(id))
+	ps, row := in.locate(id)
+	ps.Plus.Append(row, int32(id))
 }
 
 // AddMinus marks -a, symmetrically to AddPlus.
@@ -105,8 +114,8 @@ func (in *Interp) AddMinus(id AID) {
 	}
 	in.minus.set(int(id))
 	in.minusAtoms = append(in.minusAtoms, id)
-	ps := in.store.Pred(int32(in.u.AtomPred(id)), len(in.u.AtomArgs(id)))
-	ps.Minus.Append(symsToInt32(in.u.AtomArgs(id)), int32(id))
+	ps, row := in.locate(id)
+	ps.Minus.Append(row, int32(id))
 }
 
 // ResetPhase discards every marked atom, restoring the interpretation
@@ -161,7 +170,8 @@ func (in *Interp) Store() *storage.Store { return in.store }
 // returning the resulting database instance. The interpretation must
 // be consistent, which the engine guarantees.
 func (in *Interp) Incorp() *Database {
-	out := NewDatabase()
+	n := len(in.baseAtoms) + len(in.plusAtoms)
+	out := &Database{ids: make([]AID, 0, n), seen: make(map[AID]struct{}, n)}
 	for _, id := range in.baseAtoms {
 		if !in.minus.get(int(id)) {
 			out.Add(id)
@@ -171,6 +181,24 @@ func (in *Interp) Incorp() *Database {
 		out.Add(id)
 	}
 	return out
+}
+
+// changes returns what incorp(I) changes in D, read from the marks in
+// derivation order: the "+"-marked atoms not in D and the "-"-marked
+// atoms in D. As sets they are the insertions and the deletions of
+// Diff(D, Incorp()).
+func (in *Interp) changes() (inserted, deleted []AID) {
+	for _, id := range in.plusAtoms {
+		if !in.base.get(int(id)) {
+			inserted = append(inserted, id)
+		}
+	}
+	for _, id := range in.minusAtoms {
+		if in.base.get(int(id)) {
+			deleted = append(deleted, id)
+		}
+	}
+	return inserted, deleted
 }
 
 // Snapshot returns the marked atoms as (+list, -list) copies, sorted

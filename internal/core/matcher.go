@@ -18,11 +18,22 @@ type matcher struct {
 	in *Interp
 	u  *Universe
 
-	// scratch buffers reused across calls to avoid allocation in the
-	// inner evaluation loop.
+	// scratch buffers reused across calls so the inner evaluation loop
+	// does not allocate: the binding, the body literal indexes, and
+	// one frame per join depth.
 	binding   []Sym
 	remaining []int
-	pattern   []int32
+	frames    []frame
+}
+
+// frame is the scratch of one join depth: the literals left for the
+// depths below it, the ground arguments or the scan pattern of the
+// literal evaluated at it, and the variables a scanned row bound.
+type frame struct {
+	rest    []int
+	args    []Sym
+	pattern []int32
+	trail   []int
 }
 
 func newMatcher(in *Interp) *matcher {
@@ -33,7 +44,8 @@ func newMatcher(in *Interp) *matcher {
 // literal of rθ is valid in the interpretation, calling yield with the
 // complete binding (one symbol per rule variable, in variable order).
 // The binding slice is reused between calls; yield must copy it if it
-// retains it. Returning false from yield stops the enumeration.
+// retains it, and must not call Match on the same matcher. Returning
+// false from yield stops the enumeration.
 //
 // preset optionally pre-binds variables (NoSym = unbound); it is used
 // for goal-directed evaluation with a bound head. Match reports
@@ -53,12 +65,14 @@ func (m *matcher) Match(r *Rule, preset []Sym, yield func(binding []Sym) bool) b
 		}
 		copy(m.binding, preset)
 	}
+	if n := len(r.Body); len(m.frames) < n {
+		m.frames = append(m.frames, make([]frame, n-len(m.frames))...)
+	}
 	m.remaining = m.remaining[:0]
 	for i := range r.Body {
 		m.remaining = append(m.remaining, i)
 	}
-	remaining := append([]int(nil), m.remaining...)
-	return m.step(r, remaining, yield)
+	return m.step(r, m.remaining, 0, yield)
 }
 
 // groundArgs resolves the atom's terms under the current binding,
@@ -109,19 +123,21 @@ func (m *matcher) evalGround(lit Literal, args []Sym) bool {
 	panic("core: unknown literal kind")
 }
 
-// literalRelations returns the relations an enumerable literal scans.
-func (m *matcher) literalRelations(lit Literal) []*storage.Relation {
+// literalRelations returns the relations an enumerable literal scans;
+// unused entries are nil. An array rather than a slice, because pick
+// asks for every remaining literal at every depth.
+func (m *matcher) literalRelations(lit Literal) [2]*storage.Relation {
 	ps := m.in.Store().Lookup(int32(lit.Atom.Pred))
 	if ps == nil {
-		return nil
+		return [2]*storage.Relation{}
 	}
 	switch lit.Kind {
 	case LitPos:
-		return []*storage.Relation{ps.Base, ps.Plus}
+		return [2]*storage.Relation{ps.Base, ps.Plus}
 	case LitEvIns:
-		return []*storage.Relation{ps.Plus}
+		return [2]*storage.Relation{ps.Plus}
 	case LitEvDel:
-		return []*storage.Relation{ps.Minus}
+		return [2]*storage.Relation{ps.Minus}
 	}
 	panic("core: literalRelations on non-enumerable literal")
 }
@@ -129,7 +145,9 @@ func (m *matcher) literalRelations(lit Literal) []*storage.Relation {
 func (m *matcher) literalSize(lit Literal) int {
 	n := 0
 	for _, rel := range m.literalRelations(lit) {
-		n += rel.Len()
+		if rel != nil {
+			n += rel.Len()
+		}
 	}
 	return n
 }
@@ -178,7 +196,9 @@ func (m *matcher) pick(r *Rule, remaining []int) int {
 	return best
 }
 
-func (m *matcher) step(r *Rule, remaining []int, yield func([]Sym) bool) bool {
+// step evaluates the remaining literals at join depth depth, whose
+// scratch is m.frames[depth].
+func (m *matcher) step(r *Rule, remaining []int, depth int, yield func([]Sym) bool) bool {
 	if len(remaining) == 0 {
 		return yield(m.binding)
 	}
@@ -189,77 +209,80 @@ func (m *matcher) step(r *Rule, remaining []int, yield func([]Sym) bool) bool {
 		// rules.
 		panic(fmt.Sprintf("core: rule %s: unbound variable in non-enumerable literal", r.label()))
 	}
-	li := remaining[pickIdx]
-	lit := r.Body[li]
-	rest := make([]int, 0, len(remaining)-1)
-	rest = append(rest, remaining[:pickIdx]...)
-	rest = append(rest, remaining[pickIdx+1:]...)
+	lit := r.Body[remaining[pickIdx]]
+	fr := &m.frames[depth]
+	fr.rest = append(append(fr.rest[:0], remaining[:pickIdx]...), remaining[pickIdx+1:]...)
 
 	if m.fullyBound(lit) {
-		args := make([]Sym, 0, len(lit.Atom.Args))
-		args, _ = m.groundArgs(lit.Atom, args)
-		if !m.evalGround(lit, args) {
+		fr.args, _ = m.groundArgs(lit.Atom, fr.args)
+		if !m.evalGround(lit, fr.args) {
 			return true
 		}
-		return m.step(r, rest, yield)
+		return m.step(r, fr.rest, depth+1, yield)
 	}
 
 	// Enumerable literal with unbound variables: scan its relations.
-	if cap(m.pattern) < len(lit.Atom.Args) {
-		m.pattern = make([]int32, len(lit.Atom.Args))
+	fr.pattern = fr.pattern[:0]
+	for _, t := range lit.Atom.Args {
+		p := storage.Unbound
+		if !t.IsVar() {
+			p = int32(t.Const())
+		} else if v := m.binding[t.Var()]; v != NoSym {
+			p = int32(v)
+		}
+		fr.pattern = append(fr.pattern, p)
 	}
-	pattern := m.pattern[:len(lit.Atom.Args)]
-	for i, t := range lit.Atom.Args {
-		if t.IsVar() {
-			if v := m.binding[t.Var()]; v != NoSym {
-				pattern[i] = int32(v)
-			} else {
-				pattern[i] = storage.Unbound
-			}
-		} else {
-			pattern[i] = int32(t.Const())
-		}
-	}
-	// The pattern buffer is shared; copy it because recursion below
-	// re-enters this function.
-	pat := append([]int32(nil), pattern...)
-
-	var trail []int // variable indexes bound at this level, for undo
-	tryRow := func(row []int32) bool {
-		trail = trail[:0]
-		ok := true
-		for i, t := range lit.Atom.Args {
-			if !t.IsVar() {
-				continue
-			}
-			v := t.Var()
-			if m.binding[v] == NoSym {
-				m.binding[v] = Sym(row[i])
-				trail = append(trail, v)
-			} else if m.binding[v] != Sym(row[i]) {
-				ok = false
-				break
-			}
-		}
-		cont := true
-		if ok {
-			cont = m.step(r, rest, yield)
-		}
-		for _, v := range trail {
-			m.binding[v] = NoSym
-		}
-		return cont
-	}
-
-	cont := true
 	for _, rel := range m.literalRelations(lit) {
-		rel.Scan(pat, m.in.UseIndex, func(rowIdx int) bool {
-			cont = tryRow(rel.Row(rowIdx))
-			return cont
-		})
-		if !cont {
-			return false
+		if rel == nil {
+			continue
+		}
+		// Walking the candidate rows here, rather than through a
+		// Relation.Scan callback, keeps closures off the heap.
+		rows, all := rel.Candidates(fr.pattern, m.in.UseIndex)
+		n := len(rows)
+		if all {
+			n = rel.Len()
+		}
+		for i := 0; i < n; i++ {
+			row := i
+			if !all {
+				row = int(rows[i])
+			}
+			tuple := rel.Row(row)
+			if storage.MatchRow(tuple, fr.pattern) && !m.bindRow(r, lit, tuple, depth, yield) {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// bindRow binds the literal's free variables to one matching row,
+// continues the join below depth, and undoes the bindings. It reports
+// whether the enumeration goes on.
+func (m *matcher) bindRow(r *Rule, lit Literal, row []int32, depth int, yield func([]Sym) bool) bool {
+	fr := &m.frames[depth]
+	fr.trail = fr.trail[:0]
+	ok := true
+	for i, t := range lit.Atom.Args {
+		if !t.IsVar() {
+			continue
+		}
+		v := t.Var()
+		if m.binding[v] == NoSym {
+			m.binding[v] = Sym(row[i])
+			fr.trail = append(fr.trail, v)
+		} else if m.binding[v] != Sym(row[i]) {
+			ok = false
+			break
+		}
+	}
+	cont := true
+	if ok {
+		cont = m.step(r, fr.rest, depth+1, yield)
+	}
+	for _, v := range fr.trail {
+		m.binding[v] = NoSym
+	}
+	return cont
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +166,65 @@ func TestBlockedSet(t *testing.T) {
 	all := b.All()
 	if len(all) != 2 || all[0].Key() != g1.Key() {
 		t.Fatalf("All = %v", all)
+	}
+	// Wider than a groundingKey: the set falls back to string keys.
+	wide := Grounding{Rule: 2, Args: []Sym{1, 2, 3, 4, 5}}
+	if b.Has(wide) || !b.Add(wide) || b.Add(wide) || !b.Has(wide) {
+		t.Fatal("wide grounding membership wrong")
+	}
+	for _, g := range []Grounding{g1, g2, wide} {
+		if !b.HasKey(g.Key()) {
+			t.Fatalf("HasKey(%v) = false", g)
+		}
+	}
+	if b.HasKey(Grounding{Rule: 1, Args: []Sym{2}}.Key()) || b.HasKey("xyz") {
+		t.Fatal("HasKey reports a grounding never added")
+	}
+}
+
+// randomGroundings draws groundings on both sides of keyArgs, with
+// symbols wide enough that their little-endian keys do not sort
+// numerically.
+func randomGroundings(rng *rand.Rand, n int) []Grounding {
+	gs := make([]Grounding, n)
+	for i := range gs {
+		args := make([]Sym, rng.Intn(keyArgs+3))
+		for j := range args {
+			args[j] = Sym(rng.Intn(3) * (1 + rng.Intn(700)))
+		}
+		gs[i] = Grounding{Rule: int32(rng.Intn(3)), Args: args}
+	}
+	return gs
+}
+
+// compareGroundings and groundingSet agree with Grounding.Key, which
+// defines the order and the identity of groundings.
+func TestGroundingKeyOrderAndSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	gs := randomGroundings(rng, 400)
+	for i := range gs {
+		for j := range gs {
+			if got, want := compareGroundings(gs[i], gs[j]), strings.Compare(gs[i].Key(), gs[j].Key()); got != want {
+				t.Fatalf("compareGroundings(%v, %v) = %d, keys compare %d", gs[i], gs[j], got, want)
+			}
+		}
+	}
+	var s groundingSet
+	seen := make(map[string]bool)
+	for _, g := range gs {
+		if got, want := s.add(g.Rule, g.Args), !seen[g.Key()]; got != want {
+			t.Fatalf("add(%v) = %v, want %v", g, got, want)
+		}
+		seen[g.Key()] = true
+	}
+	for _, g := range randomGroundings(rng, 400) {
+		if got := s.has(g.Rule, g.Args); got != seen[g.Key()] {
+			t.Fatalf("has(%v) = %v, want %v", g, got, seen[g.Key()])
+		}
+	}
+	s.reset()
+	if s.has(gs[0].Rule, gs[0].Args) {
+		t.Fatal("reset kept a grounding")
 	}
 }
 

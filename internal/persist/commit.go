@@ -80,7 +80,6 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 		if err != nil {
 			return nil, CommitInfo{}, err
 		}
-		added, removed := splitDiff(base.db, res.Output)
 
 		lockStart := time.Now()
 		s.mu.Lock()
@@ -96,13 +95,13 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 			s.met.incRetry()
 			continue
 		}
-		if len(added)+len(removed) == 0 {
+		if len(res.Inserted)+len(res.Deleted) == 0 {
 			// Nothing changed; no WAL traffic, no history entry, no
 			// version bump needed (installing the same facts).
 			s.mu.Unlock()
 			return res, CommitInfo{}, nil
 		}
-		txn, lsn, err := s.installLocked(base, res.Output, added, removed, traceID)
+		txn, lsn, err := s.installLocked(base, res, traceID)
 		s.mu.Unlock()
 		if err != nil {
 			s.enterDegraded("wal append", err)
@@ -139,32 +138,21 @@ func (s *Store) recordTrace(rec *flight.Recorder, prog *core.Program, txn TxnRec
 	)
 }
 
-// splitDiff computes the fact-level delta old -> new.
-func splitDiff(before, after *core.Database) (added, removed []core.AID) {
-	for _, up := range core.Diff(before, after) {
-		if up.Op == core.OpInsert {
-			added = append(added, up.Atom)
-		} else {
-			removed = append(removed, up.Atom)
-		}
-	}
-	return added, removed
-}
-
-// installLocked appends the delta and commit marker to the WAL,
-// records the transaction in history, and installs the new state.
-// Callers hold s.mu. The returned LSN is the logical position the
-// caller must wait on for durability.
-func (s *Store) installLocked(base *dbState, output *core.Database, added, removed []core.AID, traceID string) (TxnRecord, int64, error) {
+// installLocked appends the run's delta (res.Inserted, res.Deleted)
+// and a commit marker to the WAL, records the transaction in history,
+// and installs res.Output as the new state. Callers hold s.mu. The
+// returned LSN is the logical position the caller must wait on for
+// durability.
+func (s *Store) installLocked(base *dbState, res *core.Result, traceID string) (TxnRecord, int64, error) {
 	txn := TxnRecord{Seq: s.seq + 1, Epoch: s.epoch, TraceID: traceID}
-	for _, id := range added {
+	for _, id := range res.Inserted {
 		text := s.u.AtomString(id)
 		txn.Added = append(txn.Added, text)
 		if err := s.appendRecord('+', text); err != nil {
 			return txn, 0, err
 		}
 	}
-	for _, id := range removed {
+	for _, id := range res.Deleted {
 		text := s.u.AtomString(id)
 		txn.Removed = append(txn.Removed, text)
 		if err := s.appendRecord('-', text); err != nil {
@@ -177,7 +165,7 @@ func (s *Store) installLocked(base *dbState, output *core.Database, added, remov
 	s.seq = txn.Seq
 	s.seqMirror.Store(int64(txn.Seq))
 	s.history = append(s.history, txn)
-	s.state.Store(&dbState{db: output.Clone(), version: base.version + 1})
+	s.state.Store(&dbState{db: res.Output.Clone(), version: base.version + 1})
 	// Notify here (in commit order) rather than after the fsync:
 	// concurrent committers complete their durability waits out of
 	// order, and subscribers rely on seeing monotonic sequences.
@@ -274,11 +262,10 @@ func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates
 	if err != nil {
 		return nil, CommitInfo{}, err
 	}
-	added, removed := splitDiff(base.db, res.Output)
-	if len(added)+len(removed) == 0 {
+	if len(res.Inserted)+len(res.Deleted) == 0 {
 		return res, CommitInfo{}, nil
 	}
-	txn, _, err := s.installLocked(base, res.Output, added, removed, flight.TraceID(ctx))
+	txn, _, err := s.installLocked(base, res, flight.TraceID(ctx))
 	if err != nil {
 		s.enterDegraded("wal append", err)
 		return nil, CommitInfo{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)

@@ -14,50 +14,54 @@ func MatchRow(row []int32, pattern []int32) bool {
 	return true
 }
 
-// Scan calls fn for every row of r that matches pattern, in row
-// order, until fn returns false. If useIndex is true and at least one
-// pattern column is bound, the scan probes the (lazily built) hash
-// index of the most selective bound column — the one whose posting
-// list is shortest — instead of scanning linearly; the rows of the
+// Candidates returns the rows a scan for pattern has to examine. If
+// useIndex is true and at least one pattern column is bound, they are
+// the (lazily built) hash index's posting list of the most selective
+// bound column — the shortest one — and all is false; the rows of the
 // other bound columns would all be re-checked by MatchRow anyway, so
-// probing the smallest list minimizes the work. The useIndex=false
-// path exists for the indexing ablation benchmark.
-func (r *Relation) Scan(pattern []int32, useIndex bool, fn func(row int) bool) {
+// the smallest list minimizes the work. Otherwise all is true: every
+// row is a candidate. Candidates must still be checked with MatchRow.
+// The useIndex=false path exists for the indexing ablation benchmark.
+func (r *Relation) Candidates(pattern []int32, useIndex bool) (rows []int32, all bool) {
 	if len(pattern) != r.arity {
 		panic("storage: pattern arity mismatch")
 	}
-	if useIndex {
-		var best []int32
-		found := false
-		for c, p := range pattern {
-			if p == Unbound {
-				continue
-			}
-			rows := r.Probe(c, p)
-			if !found || len(rows) < len(best) {
-				best, found = rows, true
-			}
-			if len(best) == 0 {
-				break // no rows can match; also the cheapest possible probe
+	if !useIndex {
+		return nil, true
+	}
+	found := false
+	for c, p := range pattern {
+		if p == Unbound {
+			continue
+		}
+		probe := r.Probe(c, p)
+		if !found || len(probe) < len(rows) {
+			rows, found = probe, true
+		}
+		if len(rows) == 0 {
+			break // no rows can match; also the cheapest possible probe
+		}
+	}
+	return rows, !found
+}
+
+// Scan calls fn for every row of r that matches pattern, in row
+// order, until fn returns false. It examines the rows Candidates
+// selects.
+func (r *Relation) Scan(pattern []int32, useIndex bool, fn func(row int) bool) {
+	rows, all := r.Candidates(pattern, useIndex)
+	if !all {
+		for _, row := range rows {
+			if MatchRow(r.Row(int(row)), pattern) && !fn(int(row)) {
+				return
 			}
 		}
-		if found {
-			for _, row := range best {
-				if MatchRow(r.Row(int(row)), pattern) {
-					if !fn(int(row)) {
-						return
-					}
-				}
-			}
-			return
-		}
+		return
 	}
 	n := r.Len()
 	for row := 0; row < n; row++ {
-		if MatchRow(r.Row(row), pattern) {
-			if !fn(row) {
-				return
-			}
+		if MatchRow(r.Row(row), pattern) && !fn(row) {
+			return
 		}
 	}
 }
