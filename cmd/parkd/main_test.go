@@ -39,8 +39,15 @@ func TestSetupWithRuleProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tx.Facts) != 2 {
-		t.Fatalf("facts = %v", tx.Facts)
+	if len(tx.Added) != 2 || len(tx.Removed) != 0 || tx.Seq != 1 {
+		t.Fatalf("txn %d: +%v -%v, want seq 1 adding p(a) and q(a)", tx.Seq, tx.Added, tx.Removed)
+	}
+	facts, err := c.Database(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(facts) != 2 {
+		t.Fatalf("database = %v", facts)
 	}
 }
 

@@ -67,10 +67,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("after order o1:")
-	for _, f := range resp.Facts {
-		fmt.Println("  ", f)
-	}
+	fmt.Printf("order o1 committed as txn %d:\n", resp.Seq)
+	printDelta(resp)
 	for _, c := range resp.Conflicts {
 		fmt.Printf("  conflict on %s -> %s (vip beats low-stock guard)\n", c.Atom, c.Decision)
 	}
@@ -107,8 +105,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("after order o2 (post-restart):")
-	for _, f := range resp.Facts {
-		fmt.Println("  ", f)
+	fmt.Printf("order o2 committed as txn %d (post-restart):\n", resp.Seq)
+	printDelta(resp)
+	facts, err := client2.Database(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("database now holds %d facts\n", len(facts))
+}
+
+// printDelta lists what a transaction changed: the response carries the
+// delta, and GET /v1/database the whole database.
+func printDelta(resp *server.TransactionResponse) {
+	for _, f := range resp.Added {
+		fmt.Println("   +", f)
+	}
+	for _, f := range resp.Removed {
+		fmt.Println("   -", f)
 	}
 }

@@ -82,6 +82,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The response is the transaction's delta; the watcher sees
+		// the same atoms arrive on the stream.
+		fmt.Printf("  committed txn %d: %d added, %d removed\n", resp.Seq, len(resp.Added), len(resp.Removed))
 		for _, c := range resp.Conflicts {
 			fmt.Printf("  conflict on %s -> %s\n", c.Atom, c.Decision)
 		}

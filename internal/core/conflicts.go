@@ -21,12 +21,13 @@ import "slices"
 func (e *Engine) resolveConflicts(atoms []AID) (bool, error) {
 	rs := e.run
 	progressed := false
+	var prov map[MarkedAtom][]Grounding // the stale sides' index of rs.prov
 	for _, a := range atoms {
 		if e.opts.ResolveOne && progressed {
 			break
 		}
-		ins, insStale := e.conflictSide(OpInsert, a)
-		del, delStale := e.conflictSide(OpDelete, a)
+		ins, insStale := e.conflictSide(&prov, OpInsert, a)
+		del, delStale := e.conflictSide(&prov, OpDelete, a)
 		if e.opts.StrictConflicts && (insStale || delStale) {
 			// Under the paper's literal definition this triple does not
 			// exist (one side has no currently valid grounding).
@@ -85,7 +86,10 @@ func (e *Engine) resolveConflicts(atoms []AID) (bool, error) {
 // requiring op on atom: all groundings with currently valid bodies,
 // falling back to this phase's provenance when none exists but the
 // mark is already in the interpretation (stale=true in that case).
-func (e *Engine) conflictSide(op HeadOp, atom AID) (side []Grounding, stale bool) {
+// The provenance log is grouped by mark into *prov the first time a
+// stale side needs it, so k stale sides cost one pass over the log,
+// not k.
+func (e *Engine) conflictSide(prov *map[MarkedAtom][]Grounding, op HeadOp, atom AID) (side []Grounding, stale bool) {
 	rs := e.run
 	side = e.validGroundingsFor(op, atom)
 	if len(side) > 0 {
@@ -100,11 +104,17 @@ func (e *Engine) conflictSide(op HeadOp, atom AID) (side []Grounding, stale bool
 	if !marked {
 		return nil, false
 	}
-	for _, d := range rs.prov {
-		if d.Op == op && d.Atom == atom {
-			side = append(side, d.Grounding)
+	if *prov == nil {
+		*prov = make(map[MarkedAtom][]Grounding)
+		for _, d := range rs.prov {
+			m := MarkedAtom{Op: d.Op, Atom: d.Atom}
+			(*prov)[m] = append((*prov)[m], d.Grounding)
 		}
+		e.provVisits += len(rs.prov)
 	}
+	// Each mark's side is read once per call, so it is sorted in place.
+	side = (*prov)[MarkedAtom{Op: op, Atom: atom}]
+	e.provVisits += len(side)
 	// In key order and without the re-derivations logged twice.
 	slices.SortFunc(side, compareGroundings)
 	side = slices.CompactFunc(side, func(a, b Grounding) bool { return compareGroundings(a, b) == 0 })

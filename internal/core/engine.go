@@ -169,6 +169,9 @@ type Engine struct {
 	// lastRun retains the previous Run's extended statistics for
 	// RunStats().
 	lastRun RunStats
+	// provVisits counts the provenance entries the last run's stale
+	// conflict sides read, index builds included (tests bound it).
+	provVisits int
 }
 
 // NewEngine validates the program and returns an engine using the
@@ -270,7 +273,7 @@ func (e *Engine) Run(ctx context.Context, d *Database, updates []Update) (*Resul
 	if pa, ok := tracer.(programAttacher); ok {
 		pa.SetProgram(progU)
 	}
-	e.run = rs
+	e.run, e.provVisits = rs, 0
 	start := time.Now()
 	defer func() {
 		if rs.stats.Wall == 0 { // a failed run

@@ -73,6 +73,27 @@ func ladderFixture() gammaFixture {
 	}
 }
 
+// staleFixture is the stale-conflict shape over six keys: +a(X) is
+// derived from !b(X), which the same step's +b(X) falsifies, so when
+// -a(X) arrives every insert side is recovered from provenance. r4
+// reads a(X) under negation, so the blocked r1 groundings flip what
+// it derives; a(k1) starts in D and c(k2) keeps r4 off k2.
+func staleFixture() gammaFixture {
+	const db = "p(k0). p(k1). p(k2). p(k3). p(k4). p(k5). a(k1). c(k2). "
+	return gammaFixture{
+		program: `
+			rule r1: p(X), !b(X) -> +a(X).
+			rule r2: p(X) -> +b(X).
+			rule r3: b(X) -> -a(X).
+			rule r4: a(X), !c(X) -> +d(X).
+		`,
+		db:       db,
+		updates:  "+p(k6).",
+		strategy: core.InertiaStrategy{},
+		want:     db + "b(k0). b(k1). b(k2). b(k3). b(k4). b(k5). b(k6). d(k1). p(k6). ",
+	}
+}
+
 // gammaRunner parses the fixture once and returns its universe and a
 // function that builds an engine and runs the transaction, as the
 // store does for every write.
@@ -150,8 +171,9 @@ func groundingsText(u *core.Universe, gs []core.Grounding) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// TestGammaPinned pins two benchmark-shaped runs exactly, so that a
-// change to what a grounding costs cannot change which groundings run.
+// TestGammaPinned pins two benchmark-shaped runs and a stale-conflict
+// run exactly, so that a change to what a grounding costs cannot change
+// which groundings run.
 func TestGammaPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -180,6 +202,23 @@ func TestGammaPinned(t *testing.T) {
 				"c6(k2) ins=[16[k2]] del=[17[k2]] -> delete",
 				"c7(k2) ins=[19[k2]] del=[20[k2]] -> insert",
 				"c8(k2) ins=[22[k2]] del=[23[k2]] -> delete",
+			},
+		}},
+		{"stale", staleFixture(), gammaPin{
+			Stats: core.RunStats{Phases: 3, Steps: 6, Conflicts: 7, StaleConflicts: 7, BlockedInstances: 7,
+				Derivations: 63, NewFacts: 46, Restarts: 2, FullSteps: 3, DeltaSteps: 6, Groundings: 76,
+				InsertDecisions: 1, DeleteDecisions: 6},
+			Groundings: []int64{21, 21, 20, 11, 3},
+			Fires:      []int64{10, 21, 18, 11, 3},
+			Blocked:    []string{"2[k1]", "0[k0]", "0[k2]", "0[k3]", "0[k4]", "0[k5]", "0[k6]"},
+			Conflicts: []string{
+				"a(k1) ins=[0[k1]] del=[2[k1]] -> insert",
+				"a(k0) ins=[0[k0]] del=[2[k0]] -> delete",
+				"a(k2) ins=[0[k2]] del=[2[k2]] -> delete",
+				"a(k3) ins=[0[k3]] del=[2[k3]] -> delete",
+				"a(k4) ins=[0[k4]] del=[2[k4]] -> delete",
+				"a(k5) ins=[0[k5]] del=[2[k5]] -> delete",
+				"a(k6) ins=[0[k6]] del=[2[k6]] -> delete",
 			},
 		}},
 	} {
@@ -216,6 +255,48 @@ func TestGammaAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations for %d groundings: %.2f per grounding", allocs, groundings, perGrounding)
 	if perGrounding > budget {
 		t.Fatalf("%.2f allocations per grounding, budget %d", perGrounding, budget)
+	}
+}
+
+// TestStaleSidesLinear counts the provenance entries the stale conflict
+// sides read on the N-key stale shape: one pass over the phase's log
+// for all N sides, so the count per side does not grow with N.
+func TestStaleSidesLinear(t *testing.T) {
+	perSide := func(n int) float64 {
+		var db strings.Builder
+		for k := 0; k < n; k++ {
+			fmt.Fprintf(&db, "p(k%d). ", k)
+		}
+		u := core.NewUniverse()
+		prog, err := parser.ParseProgram(u, "prog", `
+			p(X), !b(X) -> +a(X).
+			p(X) -> +b(X).
+			b(X) -> -a(X).
+		`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := parser.ParseDatabase(u, "db", db.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine(u, prog, core.InertiaStrategy{}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background(), d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.RunStats.StaleConflicts; got != n {
+			t.Fatalf("N=%d: %d stale conflicts, want %d", n, got, n)
+		}
+		return float64(core.ProvVisits(eng)) / float64(n)
+	}
+	small, large := perSide(50), perSide(2000)
+	t.Logf("provenance entries read per stale side: %.2f at N=50, %.2f at N=2000", small, large)
+	if large > small || large > 4 {
+		t.Fatalf("per stale side: %.2f entries at N=2000, %.2f at N=50; want at most 4 at both", large, small)
 	}
 }
 

@@ -151,27 +151,6 @@ func (b *BlockedSet) Add(g Grounding) bool {
 	return true
 }
 
-// HasKey reports membership by a key in Grounding.Key's encoding.
-func (b *BlockedSet) HasKey(k string) bool {
-	n := len(k)/4 - 1
-	if n < 0 || len(k)%4 != 0 {
-		return false
-	}
-	if n > keyArgs {
-		_, ok := b.set.wide[k]
-		return ok
-	}
-	var args [keyArgs]Sym
-	for i := range args[:n] {
-		args[i] = Sym(le32(k[4+4*i:]))
-	}
-	return b.set.has(int32(le32(k)), args[:n])
-}
-
-func le32(s string) uint32 {
-	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-}
-
 // Has reports membership.
 func (b *BlockedSet) Has(g Grounding) bool { return b.set.has(g.Rule, g.Args) }
 

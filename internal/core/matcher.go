@@ -237,7 +237,7 @@ func (m *matcher) step(r *Rule, remaining []int, depth int, yield func([]Sym) bo
 			continue
 		}
 		// Walking the candidate rows here, rather than through a
-		// Relation.Scan callback, keeps closures off the heap.
+		// callback, keeps closures off the heap.
 		rows, all := rel.Candidates(fr.pattern, m.in.UseIndex)
 		n := len(rows)
 		if all {

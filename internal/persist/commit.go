@@ -15,8 +15,8 @@ import (
 // store is unchanged. A durability failure (failed WAL append or
 // fsync) degrades the store to read-only — Apply and later writes
 // fail with errors matching ErrDegraded until the background disk
-// probe repairs it (see degrade.go). It returns the engine result
-// (whose Output is the new state).
+// probe repairs it (see degrade.go). It returns the engine result,
+// whose Output is the installed state: it must not be mutated.
 //
 // Apply is safe to call from many goroutines. Evaluation runs on an
 // immutable snapshot outside the store lock; if another transaction
@@ -29,24 +29,20 @@ func (s *Store) Apply(ctx context.Context, prog *core.Program, updates []core.Up
 	return res, err
 }
 
-// CommitInfo locates a committed transaction in the global order: its
-// sequence number and the leadership epoch it committed under. A
-// transaction that changed nothing has Seq 0 — it was never assigned
-// a sequence.
-type CommitInfo struct {
-	Seq   int
-	Epoch int64
-}
-
-// ApplyTxn is Apply plus the commit coordinates of the installed
-// transaction. The server layer uses the sequence to wait for
-// replication acknowledgement before answering a cluster write.
-func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core.Update, strategy core.Strategy, opts core.Options) (*core.Result, CommitInfo, error) {
+// ApplyTxn is Apply plus the committed transaction: its sequence, its
+// epoch and its delta, rendered once for the WAL. A transaction that
+// changed nothing is the zero TxnRecord — it was never assigned a
+// sequence. The record's slices are shared with the store's history
+// and must not be mutated, nor must the Result's Output, which is the
+// installed state. The server layer answers with the delta and uses
+// the sequence to wait for replication acknowledgement before
+// answering a cluster write.
+func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core.Update, strategy core.Strategy, opts core.Options) (*core.Result, TxnRecord, error) {
 	if err := s.degradedErr(); err != nil {
-		return nil, CommitInfo{}, err
+		return nil, TxnRecord{}, err
 	}
 	if err := s.acquireSlot(ctx); err != nil {
-		return nil, CommitInfo{}, err
+		return nil, TxnRecord{}, err
 	}
 	defer s.releaseSlot()
 	if s.cfg.serialized {
@@ -56,7 +52,7 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 	traceID := flight.TraceID(ctx)
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, CommitInfo{}, err
+			return nil, TxnRecord{}, err
 		}
 		base := s.current()
 		// Attach a fresh flight recorder per attempt (a retry re-runs
@@ -71,14 +67,14 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 		}
 		eng, err := core.NewEngine(s.u, prog, strategy, attemptOpts)
 		if err != nil {
-			return nil, CommitInfo{}, err
+			return nil, TxnRecord{}, err
 		}
 		// Evaluate outside the lock: base.db is immutable, the engine
 		// never mutates its input, and the universe interns safely
 		// under concurrency.
 		res, err := eng.Run(ctx, base.db, updates)
 		if err != nil {
-			return nil, CommitInfo{}, err
+			return nil, TxnRecord{}, err
 		}
 
 		lockStart := time.Now()
@@ -86,7 +82,7 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 		s.met.observeLockWait(time.Since(lockStart))
 		if s.closed {
 			s.mu.Unlock()
-			return nil, CommitInfo{}, ErrClosed
+			return nil, TxnRecord{}, ErrClosed
 		}
 		if cur := s.current(); cur.version != base.version {
 			// A concurrent commit changed the base state under us:
@@ -99,21 +95,21 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 			// Nothing changed; no WAL traffic, no history entry, no
 			// version bump needed (installing the same facts).
 			s.mu.Unlock()
-			return res, CommitInfo{}, nil
+			return res, TxnRecord{}, nil
 		}
 		txn, lsn, err := s.installLocked(base, res, traceID)
 		s.mu.Unlock()
 		if err != nil {
 			s.enterDegraded("wal append", err)
-			return nil, CommitInfo{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
+			return nil, TxnRecord{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
 		}
 		s.recordTrace(rec, prog, txn, res)
 		// The state is installed (later transactions already build on
 		// it); acknowledge the caller only once the batch is durable.
 		if err := s.waitDurable(lsn); err != nil {
-			return nil, CommitInfo{}, fmt.Errorf("persist: wal sync: %w", err)
+			return nil, TxnRecord{}, fmt.Errorf("persist: wal sync: %w", err)
 		}
-		return res, CommitInfo{Seq: txn.Seq, Epoch: txn.Epoch}, nil
+		return res, txn, nil
 	}
 }
 
@@ -140,11 +136,13 @@ func (s *Store) recordTrace(rec *flight.Recorder, prog *core.Program, txn TxnRec
 
 // installLocked appends the run's delta (res.Inserted, res.Deleted)
 // and a commit marker to the WAL, records the transaction in history,
-// and installs res.Output as the new state. Callers hold s.mu. The
+// and installs res.Output as the new state — not a copy: Incorp built
+// it fresh, and nobody mutates it after. Callers hold s.mu. The
 // returned LSN is the logical position the caller must wait on for
 // durability.
 func (s *Store) installLocked(base *dbState, res *core.Result, traceID string) (TxnRecord, int64, error) {
-	txn := TxnRecord{Seq: s.seq + 1, Epoch: s.epoch, TraceID: traceID}
+	txn := TxnRecord{Seq: s.seq + 1, Epoch: s.epoch, TraceID: traceID,
+		Added: make([]string, 0, len(res.Inserted)), Removed: make([]string, 0, len(res.Deleted))}
 	for _, id := range res.Inserted {
 		text := s.u.AtomString(id)
 		txn.Added = append(txn.Added, text)
@@ -164,8 +162,8 @@ func (s *Store) installLocked(base *dbState, res *core.Result, traceID string) (
 	}
 	s.seq = txn.Seq
 	s.seqMirror.Store(int64(txn.Seq))
-	s.history = append(s.history, txn)
-	s.state.Store(&dbState{db: res.Output.Clone(), version: base.version + 1})
+	s.pushHistoryLocked(txn)
+	s.state.Store(&dbState{db: res.Output, version: base.version + 1})
 	// Notify here (in commit order) rather than after the fsync:
 	// concurrent committers complete their durability waits out of
 	// order, and subscribers rely on seeing monotonic sequences.
@@ -242,11 +240,11 @@ func (s *Store) waitDurable(lsn int64) error {
 // applySerialized is the legacy commit path (WithSerializedCommits):
 // one lock held across evaluation, append and a per-transaction
 // fsync. Kept for benchmarking the pipeline against it.
-func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates []core.Update, strategy core.Strategy, opts core.Options) (*core.Result, CommitInfo, error) {
+func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates []core.Update, strategy core.Strategy, opts core.Options) (*core.Result, TxnRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, CommitInfo{}, ErrClosed
+		return nil, TxnRecord{}, ErrClosed
 	}
 	base := s.current()
 	var rec *flight.Recorder
@@ -256,19 +254,19 @@ func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates
 	}
 	eng, err := core.NewEngine(s.u, prog, strategy, opts)
 	if err != nil {
-		return nil, CommitInfo{}, err
+		return nil, TxnRecord{}, err
 	}
 	res, err := eng.Run(ctx, base.db, updates)
 	if err != nil {
-		return nil, CommitInfo{}, err
+		return nil, TxnRecord{}, err
 	}
 	if len(res.Inserted)+len(res.Deleted) == 0 {
-		return res, CommitInfo{}, nil
+		return res, TxnRecord{}, nil
 	}
 	txn, _, err := s.installLocked(base, res, flight.TraceID(ctx))
 	if err != nil {
 		s.enterDegraded("wal append", err)
-		return nil, CommitInfo{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
+		return nil, TxnRecord{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
 	}
 	s.recordTrace(rec, prog, txn, res)
 	if err := s.wal.Sync(); err != nil {
@@ -276,7 +274,7 @@ func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates
 		s.syncErr = fmt.Errorf("%w; %w", err, ErrDegraded)
 		s.syncMu.Unlock()
 		s.enterDegraded("wal sync", err)
-		return nil, CommitInfo{}, fmt.Errorf("persist: wal sync: %w; %w", err, ErrDegraded)
+		return nil, TxnRecord{}, fmt.Errorf("persist: wal sync: %w; %w", err, ErrDegraded)
 	}
 	s.syncMu.Lock()
 	if s.appendedLSN > s.syncedLSN {
@@ -285,7 +283,7 @@ func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates
 	s.met.observeBatch(s.pendingTxns)
 	s.pendingTxns = 0
 	s.syncMu.Unlock()
-	return res, CommitInfo{Seq: txn.Seq, Epoch: txn.Epoch}, nil
+	return res, txn, nil
 }
 
 // acquireSlot admits one transaction into the bounded commit

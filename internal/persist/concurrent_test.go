@@ -56,7 +56,10 @@ func TestConcurrentApply(t *testing.T) {
 					return
 				}
 				_ = s.Len()
-				_ = s.History()
+				if _, err := s.History(); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}()
 	}
@@ -69,7 +72,7 @@ func TestConcurrentApply(t *testing.T) {
 	if got := s.Len(); got != writers*txnsPerWriter {
 		t.Fatalf("final state has %d facts, want %d", got, writers*txnsPerWriter)
 	}
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if len(hist) != writers*txnsPerWriter {
 		t.Fatalf("history has %d entries, want %d", len(hist), writers*txnsPerWriter)
 	}

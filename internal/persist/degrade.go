@@ -213,8 +213,9 @@ func (s *Store) repair() error {
 	if err := s.writeSnapshotLocked(db, s.seq, s.epoch); err != nil {
 		return err
 	}
-	walPath := s.walPath()
-	wal, err := s.fs.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	s.walGate.Lock() // the rotation truncates what history reads decode
+	wal, err := s.fs.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	s.walGate.Unlock()
 	if err != nil {
 		return fmt.Errorf("persist: repair: %w", err)
 	}
@@ -229,15 +230,15 @@ func (s *Store) repair() error {
 	// detects it (waitDurable compares handles) and ignores the error.
 	old.Close()
 	s.walErr = nil
-	s.walRecords = 0
+	s.walRecords, s.walBytes = 0, 0
 	// The rotation dropped the durable vote and fence records;
 	// re-append them so the single-vote-per-epoch rule and the fencing
 	// floor still hold across a restart.
 	if err := s.reseedElectionRecords(); err != nil {
 		return fmt.Errorf("persist: repair: %w", err)
 	}
-	s.snapDB = db.Clone()
-	s.history = nil
+	s.snapDB = db // installed states are immutable
+	s.resetHistoryLocked()
 	s.baseSeq = s.seq
 	s.baseEpoch = s.epoch
 	s.syncMu.Lock()

@@ -328,7 +328,7 @@ func TestReplicaWritesGatedWhileDegraded(t *testing.T) {
 	if err := s.ResetToSnapshot(100, 0, []string{"p(y)"}, 0); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("ResetToSnapshot while degraded = %v, want ErrDegraded", err)
 	}
-	cut, err := s.ReplicaCut(true, 8)
+	cut, err := s.ReplicaCut(0, true, 8)
 	if err != nil {
 		t.Fatalf("ReplicaCut while degraded = %v, want success (replication reads keep serving)", err)
 	}

@@ -58,7 +58,7 @@ func TestEpochInCommitMarkers(t *testing.T) {
 	if err := s.ApplyUpdates(context.Background(), mustUpdates(t, s.Universe(), `+p(a).`)); err != nil {
 		t.Fatal(err)
 	}
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if len(hist) != 1 || hist[0].Epoch != 5 {
 		t.Fatalf("history = %+v, want one txn at epoch 5", hist)
 	}
@@ -73,7 +73,7 @@ func TestEpochInCommitMarkers(t *testing.T) {
 	if got := r.Epoch(); got != 5 {
 		t.Fatalf("recovered epoch = %d, want 5", got)
 	}
-	if hist := r.History(); len(hist) != 1 || hist[0].Epoch != 5 {
+	if hist := mustHistory(t, r); len(hist) != 1 || hist[0].Epoch != 5 {
 		t.Fatalf("recovered history = %+v, want one txn at epoch 5", hist)
 	}
 	// Checkpoint folds the epoch into the snapshot header.

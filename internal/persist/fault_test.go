@@ -315,7 +315,7 @@ drain:
 		t.Fatalf("[seed %d] follower open: %v", seed, err)
 	}
 	defer fst.Close()
-	cutView, err := rec.ReplicaCut(true, 16)
+	cutView, err := rec.ReplicaCut(0, true, 16)
 	if err != nil {
 		t.Fatalf("[seed %d] replica cut: %v", seed, err)
 	}

@@ -51,7 +51,7 @@ func TestApplyRecordsFlightTrace(t *testing.T) {
 		t.Fatalf("commit log missing trace ID:\n%s", logBuf.String())
 	}
 	// The history record carries it too.
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if len(hist) == 0 || hist[len(hist)-1].TraceID != "trace-abc" {
 		t.Fatalf("history record missing trace ID: %+v", hist)
 	}
@@ -93,7 +93,7 @@ func TestApplyReplicatedPropagatesTraceID(t *testing.T) {
 	if rec.TraceID != "leader-trace" {
 		t.Fatalf("subscription record trace ID = %q, want leader-trace", rec.TraceID)
 	}
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if len(hist) != 1 || hist[0].TraceID != "leader-trace" {
 		t.Fatalf("history = %+v", hist)
 	}

@@ -170,7 +170,7 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 		t.Fatal("committer failed")
 	}
 	// The commit order on disk is the history order.
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCrashDuringGroupCommit(t *testing.T) {
 		if got != expected[k] {
 			t.Fatalf("cut %d: recovered {%s}, want first %d txns {%s}", cut, got, k, expected[k])
 		}
-		recHist := rec.History()
+		recHist := mustHistory(t, rec)
 		if len(recHist) != k {
 			t.Fatalf("cut %d: recovered %d history entries, want %d", cut, len(recHist), k)
 		}

@@ -59,6 +59,12 @@
 //     position solely by its sequence — resuming a stream is
 //     "send me everything after N".
 //
+// History. The store keeps the newest committed transactions in memory
+// (a tail bounded in records and in bytes of atom text); the older ones
+// since the last checkpoint are read back from the WAL, through the
+// decoder recovery uses. History, StateAt and ReplicaCut serve the
+// whole window either way.
+//
 // Replication hooks. ReplicaCut takes a consistent cut (snapshot +
 // history + live subscription, gapless by construction) for serving a
 // replication stream; ApplyReplicatedFrom installs a leader-evaluated
@@ -145,8 +151,11 @@ type Store struct {
 	// install of state, seq/history bookkeeping, and Checkpoint/Close.
 	// The engine never runs under mu.
 	mu sync.Mutex
-	// walRecords counts records appended since the last checkpoint.
+	// walRecords and walBytes count the records and bytes appended
+	// since the last checkpoint; the WAL file is exactly walBytes long
+	// up to a failed append.
 	walRecords int
+	walBytes   int64
 	closed     bool
 	wal        File
 	// walErr is sticky: a failed append may leave a partial
@@ -190,10 +199,17 @@ type Store struct {
 	fence int64
 
 	// snapDB is the state at the last checkpoint (or Open snapshot);
-	// history holds the per-transaction deltas since then. Together
-	// they support StateAt time travel.
-	snapDB  *core.Database
-	history []TxnRecord
+	// it is replaced, never mutated. history holds the newest
+	// per-transaction deltas since then, ending at seq (see
+	// pushHistoryLocked); historyBytes is their atom text. Together
+	// with the WAL they support StateAt time travel.
+	snapDB       *core.Database
+	history      []TxnRecord
+	historyBytes int
+	// walGate keeps the WAL from being truncated or rotated while a
+	// history read is decoding it outside mu: readers hold it shared,
+	// Checkpoint, repair and ResetToSnapshot exclusively (under mu).
+	walGate sync.RWMutex
 
 	// Group commit state, guarded by syncMu (lock order: mu before
 	// syncMu; waitDurable takes only syncMu). LSNs are logical —
@@ -457,7 +473,7 @@ func open(dir string, repair bool, opts ...Option) (*Store, *RepairReport, error
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
 	s.wal = wal
-	s.walRecords = records
+	s.walRecords, s.walBytes = records, validLen
 	s.state.Store(&dbState{db: db, version: 1})
 	s.seqMirror.Store(int64(s.seq))
 	s.epochMirror.Store(s.epoch)
@@ -494,22 +510,14 @@ func parseSnapshotHeader(text string) (seq int, epoch int64) {
 	return n, epoch
 }
 
-// replayWAL applies every committed transaction to db and rebuilds
-// the transaction history. Records of an uncommitted trailing
-// transaction (no commit marker — a crash mid-Apply) are discarded
-// along with any torn tail; the returned offset is the end of the
-// last commit marker.
-//
-// Torn and corrupt regions are distinguished: a crash tears the log
-// by cutting appended bytes short (an incomplete header, a payload
-// extending past EOF, or a zero length from a pre-allocated page), so
-// anything else — a garbage length, a checksum mismatch on a fully
-// present payload, a structurally valid but semantically invalid
-// record — is real corruption and is reported as a *CorruptError
-// rather than silently treated as a tail. The replayed state is the
-// committed prefix before the corruption either way; the caller
-// decides whether that prefix is acceptable (RepairOpen) or the open
-// must fail (Open).
+// replayWAL applies every committed unit of the WAL to db and the
+// store's sequence, epoch and election state, and rebuilds the history
+// tail. The returned offset is the end of the last committed unit:
+// records of an uncommitted trailing transaction (no commit marker — a
+// crash mid-Apply) are never applied, and a torn tail is dropped. A
+// corrupt region (see decodeWAL) ends the replay with the committed
+// prefix before it; the caller decides whether that prefix is
+// acceptable (RepairOpen) or the open must fail (Open).
 func (s *Store) replayWAL(path string, db *core.Database) (int64, int, *CorruptError, error) {
 	data, err := s.fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -518,153 +526,150 @@ func (s *Store) replayWAL(path string, db *core.Database) (int64, int, *CorruptE
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("persist: %w", err)
 	}
-	off := int64(0)
-	committedEnd := int64(0)
-	committedRecords := 0
-	records := 0
-	var corrupt *CorruptError
-	var pending TxnRecord
-	for int(off)+recordHeader <= len(data) {
-		length := binary.LittleEndian.Uint32(data[off:])
+	end, records, corrupt := decodeWAL(path, data, func(u *walUnit) error { return s.recoverUnit(db, u) })
+	return end, records, corrupt, nil
+}
+
+// walUnit is one committed unit of the WAL: a transaction (its delta
+// records closed by a commit marker) or a stand-alone epoch, vote or
+// fence record.
+type walUnit struct {
+	kind    byte      // 'C' a transaction; 'E' epoch, 'V' vote, 'F' fence
+	txn     TxnRecord // kind 'C'; Seq is 0 for a legacy marker
+	epoch   int64     // kinds 'E', 'V' and 'F'
+	voteFor string    // kind 'V'
+}
+
+// decodeWAL is the WAL's one decoder, shared by recovery and the
+// history reads. It walks data's length- and CRC32-framed records and
+// calls visit once per committed unit, in log order, returning the
+// offset just past the last unit visit accepted and the number of
+// records up to there. The records of an uncommitted trailing
+// transaction are never visited.
+//
+// Torn and corrupt regions are distinguished: a crash tears the log
+// by cutting appended bytes short (an incomplete header, a payload
+// extending past EOF, or a zero length from a pre-allocated page), and
+// that ends the walk quietly. Anything else — a garbage length, a
+// checksum mismatch on a fully present payload, a structurally valid
+// but semantically invalid record, or a unit visit rejects — is real
+// corruption and ends the walk with a *CorruptError.
+func decodeWAL(path string, data []byte, visit func(*walUnit) error) (end int64, records int, corrupt *CorruptError) {
+	var u walUnit
+	off, start, n := int64(0), int64(0), 0
+	for off+recordHeader <= int64(len(data)) {
+		length := int64(binary.LittleEndian.Uint32(data[off:]))
 		sum := binary.LittleEndian.Uint32(data[off+4:])
 		if length == 0 {
 			break // torn tail (zero-filled or cut mid-header)
 		}
 		if length > maxRecord {
-			corrupt = &CorruptError{Path: path, Offset: off,
+			return end, records, &CorruptError{Path: path, Offset: off,
 				Reason: fmt.Sprintf("record length %d exceeds maximum %d", length, maxRecord)}
-			break
 		}
-		if int(off)+recordHeader+int(length) > len(data) {
+		if off+recordHeader+length > int64(len(data)) {
 			break // torn tail: payload cut short by a crash
 		}
-		payload := data[off+recordHeader : off+recordHeader+int64(length)]
+		payload := data[off+recordHeader : off+recordHeader+length]
 		if crc32.ChecksumIEEE(payload) != sum {
 			// The payload is fully present, so this is not a short
 			// write: the bytes themselves are wrong.
-			corrupt = &CorruptError{Path: path, Offset: off,
+			return end, records, &CorruptError{Path: path, Offset: off,
 				Reason: "record checksum mismatch on fully present payload"}
-			break
 		}
-		commit, err := s.applyRecord(db, payload, &pending)
+		committed, err := u.add(payload)
+		at := off
+		if err == nil && committed {
+			at = start
+			err = visit(&u)
+		}
 		if err != nil {
-			corrupt = &CorruptError{Path: path, Offset: off,
+			return end, records, &CorruptError{Path: path, Offset: at,
 				Reason: fmt.Sprintf("semantically invalid record: %v", err)}
-			break
 		}
-		off += recordHeader + int64(length)
-		records++
-		if commit {
-			committedEnd = off
-			committedRecords = records
-		}
-	}
-	// Roll back the uncommitted tail, if any, by replaying the
-	// committed prefix over the snapshot.
-	if committedEnd < off || len(pending.Added)+len(pending.Removed) > 0 {
-		*db = *s.snapDB.Clone()
-		s.history = nil
-		s.seq = s.baseSeq
-		s.epoch = s.baseEpoch
-		s.fence = s.baseEpoch
-		s.voteEpoch, s.voteFor = 0, ""
-		pending = TxnRecord{}
-		rep := data[:committedEnd]
-		o := int64(0)
-		for o < committedEnd {
-			length := int64(binary.LittleEndian.Uint32(rep[o:]))
-			payload := rep[o+recordHeader : o+recordHeader+length]
-			if _, err := s.applyRecord(db, payload, &pending); err != nil {
-				return 0, 0, nil, fmt.Errorf("persist: corrupt WAL record at offset %d: %w", o, err)
-			}
-			o += recordHeader + length
+		off += recordHeader + length
+		n++
+		if committed {
+			end, records, start = off, n, off
+			u = walUnit{}
 		}
 	}
-	return committedEnd, committedRecords, corrupt, nil
+	return end, records, nil
 }
 
-// applyRecord applies one record to db, tracking the pending
-// transaction delta. It reports whether the record completed a
-// committed unit (a commit marker, or a self-committing epoch/vote
-// record).
-func (s *Store) applyRecord(db *core.Database, payload []byte, pending *TxnRecord) (bool, error) {
+// add decodes one record into the unit and reports whether the record
+// completed it (a commit marker, or a self-committing epoch, vote or
+// fence record).
+func (u *walUnit) add(payload []byte) (bool, error) {
 	if seq, epoch, ok := commitMarker(payload); ok {
-		if seq == 0 {
-			// Legacy marker without a sequence: number consecutively.
-			seq = s.seq + 1
-		}
-		if epoch > s.epoch {
-			s.epoch = epoch
-		}
-		if epoch > s.fence {
-			s.fence = epoch
-		}
-		if seq <= s.baseSeq {
-			// The transaction is already folded into the snapshot (a
-			// crash hit between Checkpoint's rename and its WAL
-			// truncation). The replay above was idempotent; just don't
-			// duplicate the history entry.
-			*pending = TxnRecord{}
-			return true, nil
-		}
-		if seq <= s.seq {
-			return false, fmt.Errorf("commit sequence %d not after %d", seq, s.seq)
-		}
-		s.seq = seq
-		pending.Seq = seq
-		pending.Epoch = epoch
-		s.history = append(s.history, *pending)
-		*pending = TxnRecord{}
+		u.kind, u.txn.Seq, u.txn.Epoch = 'C', seq, epoch
 		return true, nil
 	}
 	if len(payload) >= 9 && (payload[0] == 'E' || payload[0] == 'V' || payload[0] == 'F') {
 		// Epoch, vote and fence records stand alone between
 		// transactions (their writers hold the commit lock), so one
 		// inside an open delta means the log is damaged.
-		if len(pending.Added)+len(pending.Removed) > 0 {
+		if len(u.txn.Added)+len(u.txn.Removed) > 0 {
 			return false, fmt.Errorf("%c record inside an open transaction", payload[0])
 		}
-		epoch := int64(binary.LittleEndian.Uint64(payload[1:9]))
-		switch payload[0] {
-		case 'E':
-			if len(payload) != 9 {
-				return false, errors.New("malformed epoch record")
-			}
-			if epoch > s.epoch {
-				s.epoch = epoch
-			}
-		case 'V':
-			s.voteEpoch, s.voteFor = epoch, string(payload[9:])
-		case 'F':
-			if len(payload) != 9 {
-				return false, errors.New("malformed fence record")
-			}
+		switch {
+		case payload[0] == 'E' && len(payload) != 9:
+			return false, errors.New("malformed epoch record")
+		case payload[0] == 'F' && len(payload) != 9:
+			return false, errors.New("malformed fence record")
 		}
-		if epoch > s.fence {
-			s.fence = epoch
-		}
+		u.kind, u.epoch, u.voteFor = payload[0], int64(binary.LittleEndian.Uint64(payload[1:9])), string(payload[9:])
 		return true, nil
 	}
 	if len(payload) < 2 {
 		return false, errors.New("short record")
 	}
-	op := payload[0]
-	atomText := string(payload[1:])
-	id, err := s.internAtomText(atomText)
-	if err != nil {
-		return false, err
-	}
-	switch op {
+	switch payload[0] {
 	case '+':
-		db.Add(id)
-		pending.Added = append(pending.Added, atomText)
+		u.txn.Added = append(u.txn.Added, string(payload[1:]))
 	case '-':
-		db.Remove(id)
-		pending.Removed = append(pending.Removed, atomText)
+		u.txn.Removed = append(u.txn.Removed, string(payload[1:]))
 	default:
-		return false, fmt.Errorf("unknown op %q", op)
+		return false, fmt.Errorf("unknown op %q", payload[0])
 	}
 	return false, nil
+}
+
+// recoverUnit applies one committed WAL unit at Open: a transaction's
+// delta goes into db and the history tail, epoch, vote and fence
+// records into the election state. A unit it rejects changes nothing.
+func (s *Store) recoverUnit(db *core.Database, u *walUnit) error {
+	epoch := u.epoch
+	switch u.kind {
+	case 'E':
+		s.epoch = max(s.epoch, epoch)
+	case 'V':
+		s.voteEpoch, s.voteFor = epoch, u.voteFor
+	case 'C':
+		txn := u.txn
+		epoch = txn.Epoch
+		if txn.Seq == 0 {
+			// Legacy marker without a sequence: number consecutively.
+			txn.Seq = s.seq + 1
+		}
+		if txn.Seq > s.baseSeq && txn.Seq <= s.seq {
+			return fmt.Errorf("commit sequence %d not after %d", txn.Seq, s.seq)
+		}
+		if err := s.applyDelta(db, txn); err != nil {
+			return err
+		}
+		s.epoch = max(s.epoch, epoch)
+		// A transaction at or below baseSeq is already folded into the
+		// snapshot (a crash hit between Checkpoint's rename and its WAL
+		// truncation): replaying it was idempotent, and it is not
+		// history.
+		if txn.Seq > s.baseSeq {
+			s.seq = txn.Seq
+			s.pushHistoryLocked(txn)
+		}
+	}
+	s.fence = max(s.fence, epoch)
+	return nil
 }
 
 // commitMarker decodes a commit-marker payload. Current markers are
@@ -686,6 +691,39 @@ func commitMarker(payload []byte) (seq int, epoch int64, ok bool) {
 			int64(binary.LittleEndian.Uint64(payload[9:17])), true
 	}
 	return 0, 0, false
+}
+
+// applyDelta applies a transaction's delta to db. It parses every atom
+// first, so a malformed one leaves db unchanged.
+func (s *Store) applyDelta(db *core.Database, txn TxnRecord) error {
+	added, err := s.internAtoms(txn.Added)
+	if err != nil {
+		return err
+	}
+	removed, err := s.internAtoms(txn.Removed)
+	if err != nil {
+		return err
+	}
+	for _, id := range added {
+		db.Add(id)
+	}
+	for _, id := range removed {
+		db.Remove(id)
+	}
+	return nil
+}
+
+// internAtoms parses ground atoms in rule-language syntax.
+func (s *Store) internAtoms(texts []string) ([]core.AID, error) {
+	ids := make([]core.AID, len(texts))
+	for i, text := range texts {
+		id, err := s.internAtomText(text)
+		if err != nil {
+			return nil, err
+		}
+		ids[i] = id
+	}
+	return ids, nil
 }
 
 // internAtomText parses a ground atom in rule-language syntax.
@@ -849,5 +887,6 @@ func (s *Store) appendPayload(payload []byte) error {
 		return err
 	}
 	s.walRecords++
+	s.walBytes += int64(recordHeader + len(payload))
 	return nil
 }

@@ -352,8 +352,8 @@ func TestUncommittedTransactionRolledBack(t *testing.T) {
 	if got := renderDB(s3.Universe(), s3.Snapshot()); got != "p(a)" {
 		t.Fatalf("recovered state = {%s}, want the pre-transaction {p(a)}", got)
 	}
-	if len(s3.History()) != 1 {
-		t.Fatalf("history = %d entries, want 1", len(s3.History()))
+	if len(mustHistory(t, s3)) != 1 {
+		t.Fatalf("history = %d entries, want 1", len(mustHistory(t, s3)))
 	}
 	// The store must accept new transactions cleanly after rollback.
 	if err := s3.ApplyUpdates(context.Background(), mustUpdates(t, s3.Universe(), `+p(c).`)); err != nil {
@@ -380,7 +380,7 @@ func TestHistoryAndStateAt(t *testing.T) {
 	if err := s.ApplyUpdates(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if len(hist) != 2 {
 		t.Fatalf("history = %d entries, want 2", len(hist))
 	}
@@ -412,8 +412,8 @@ func TestHistoryAndStateAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.History()) != 2 {
-		t.Fatalf("reopened history = %d", len(s2.History()))
+	if len(mustHistory(t, s2)) != 2 {
+		t.Fatalf("reopened history = %d", len(mustHistory(t, s2)))
 	}
 	// ...and is cleared by a checkpoint (the snapshot collapses it),
 	// but the global sequence does NOT reset: the checkpoint becomes
@@ -421,8 +421,8 @@ func TestHistoryAndStateAt(t *testing.T) {
 	if err := s2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.History()) != 0 {
-		t.Fatalf("history after checkpoint = %d", len(s2.History()))
+	if len(mustHistory(t, s2)) != 0 {
+		t.Fatalf("history after checkpoint = %d", len(mustHistory(t, s2)))
 	}
 	if s2.BaseSeq() != 2 || s2.Seq() != 2 {
 		t.Fatalf("after checkpoint base/seq = %d/%d, want 2/2", s2.BaseSeq(), s2.Seq())
@@ -462,7 +462,7 @@ func TestSeqMonotonicAcrossCheckpoint(t *testing.T) {
 	if err := s.ApplyUpdates(ctx, mustUpdates(t, u, `+p(c).`)); err != nil {
 		t.Fatal(err)
 	}
-	hist := s.History()
+	hist := mustHistory(t, s)
 	if len(hist) != 1 || hist[0].Seq != 3 {
 		t.Fatalf("post-checkpoint history = %+v, want one entry with Seq 3", hist)
 	}
@@ -480,7 +480,7 @@ func TestSeqMonotonicAcrossCheckpoint(t *testing.T) {
 	if err := s2.ApplyUpdates(ctx, mustUpdates(t, s2.Universe(), `+p(d).`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.History(); len(got) != 2 || got[1].Seq != 4 {
+	if got := mustHistory(t, s2); len(got) != 2 || got[1].Seq != 4 {
 		t.Fatalf("history after reopen+apply = %+v, want Seqs 3, 4", got)
 	}
 	// Time travel by global sequence across the checkpoint boundary.
@@ -661,4 +661,15 @@ func TestCheckpointCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if got := renderDB(s2.Universe(), s2.Snapshot()); got != want+", d" {
 		t.Fatalf("state = {%s}", got)
 	}
+}
+
+// mustHistory is Store.History for tests, failing the test on a read
+// error.
+func mustHistory(tb testing.TB, s *Store) []TxnRecord {
+	tb.Helper()
+	hist, err := s.History()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return hist
 }

@@ -19,10 +19,11 @@ import (
 
 // ReplicaCut is a consistent view of the store for starting a
 // replication stream: the checkpoint state, the committed transactions
-// since it, the current sequence, and a subscription registered
-// atomically with the copy — a transaction committed after the cut is
-// delivered on Events, a transaction committed before it is in
-// History, and no transaction is in neither.
+// since it from the stream's resume point on, the current sequence,
+// and a subscription registered atomically with the copy — a
+// transaction committed after the cut is delivered on Events, a
+// transaction committed before it is in History (or older than the
+// resume point), and no transaction is in neither.
 type ReplicaCut struct {
 	// BaseSeq is the global sequence of the last checkpoint; Snapshot
 	// (when requested) is the state at exactly that sequence.
@@ -38,8 +39,8 @@ type ReplicaCut struct {
 	// Snapshot is the checkpoint state (immutable — do not mutate);
 	// nil unless the cut was taken with withSnapshot.
 	Snapshot *core.Database
-	// History holds the committed deltas in (BaseSeq, Seq], oldest
-	// first.
+	// History holds the committed deltas in (BaseSeq, Seq] whose
+	// sequence is at least the cut's from, oldest first.
 	History []TxnRecord
 	// Events delivers transactions committed after the cut, in commit
 	// order. The subscription drops when the consumer falls behind
@@ -50,16 +51,19 @@ type ReplicaCut struct {
 	Cancel func()
 }
 
-// ReplicaCut captures a consistent replication cut. The subscription
+// ReplicaCut captures a consistent replication cut whose History
+// starts at sequence from (0 for the whole window). The subscription
 // is registered under the commit lock, so the History copy and the
-// Events stream tile the transaction sequence exactly. withSnapshot
-// additionally exposes the checkpoint state (needed when the consumer
-// resumes from before BaseSeq, or not at all); buffer sizes the
-// subscription channel.
-func (s *Store) ReplicaCut(withSnapshot bool, buffer int) (*ReplicaCut, error) {
+// Events stream tile the transaction sequence exactly. History older
+// than the in-memory tail is decoded from the WAL after the lock is
+// released; a failed read fails the cut. withSnapshot additionally
+// exposes the checkpoint state (needed when the consumer resumes from
+// before BaseSeq, or not at all); buffer sizes the subscription
+// channel.
+func (s *Store) ReplicaCut(from int, withSnapshot bool, buffer int) (*ReplicaCut, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	cut := &ReplicaCut{BaseSeq: s.baseSeq, Seq: s.seq, BaseEpoch: s.baseEpoch, Epoch: s.epoch}
@@ -68,11 +72,17 @@ func (s *Store) ReplicaCut(withSnapshot bool, buffer int) (*ReplicaCut, error) {
 		// pointer is safe; the caller renders it outside the lock.
 		cut.Snapshot = s.snapDB
 	}
-	cut.History = make([]TxnRecord, len(s.history))
-	copy(cut.History, s.history)
+	hc := s.cutHistoryLocked(from)
 	// Lock order mu -> subsMu matches the notify path, so registering
 	// while holding mu cannot race a commit's fan-out.
 	cut.Events, cut.Cancel = s.Subscribe(buffer)
+	s.mu.Unlock()
+	hist, err := s.readCut(hc)
+	if err != nil {
+		cut.Cancel()
+		return nil, err
+	}
+	cut.History = hist
 	return cut, nil
 }
 
@@ -132,21 +142,13 @@ func (s *Store) ApplyReplicatedFrom(txn TxnRecord, leaderEpoch int64) error {
 	}
 	// Intern (and thereby validate) every atom before touching the
 	// WAL, so a malformed frame cannot leave a partial transaction.
-	addIDs := make([]core.AID, len(txn.Added))
-	for i, text := range txn.Added {
-		id, err := s.internAtomText(text)
-		if err != nil {
-			return fmt.Errorf("persist: replicated txn %d: %w", txn.Seq, err)
-		}
-		addIDs[i] = id
+	addIDs, err := s.internAtoms(txn.Added)
+	if err != nil {
+		return fmt.Errorf("persist: replicated txn %d: %w", txn.Seq, err)
 	}
-	remIDs := make([]core.AID, len(txn.Removed))
-	for i, text := range txn.Removed {
-		id, err := s.internAtomText(text)
-		if err != nil {
-			return fmt.Errorf("persist: replicated txn %d: %w", txn.Seq, err)
-		}
-		remIDs[i] = id
+	remIDs, err := s.internAtoms(txn.Removed)
+	if err != nil {
+		return fmt.Errorf("persist: replicated txn %d: %w", txn.Seq, err)
 	}
 	if auth > s.fence {
 		// This stream's authority names a newer epoch than any we have
@@ -204,7 +206,7 @@ func (s *Store) ApplyReplicatedFrom(txn TxnRecord, leaderEpoch int64) error {
 		s.epochMirror.Store(txn.Epoch)
 		s.met.setEpoch(txn.Epoch)
 	}
-	s.history = append(s.history, rec)
+	s.pushHistoryLocked(rec)
 	s.state.Store(&dbState{db: db, version: cur.version + 1})
 	s.notify(rec)
 	s.syncMu.Lock()
@@ -292,18 +294,14 @@ func (s *Store) ResetToSnapshot(seq int, epoch int64, facts []string, leaderEpoc
 	if err := s.writeSnapshotLocked(db, seq, epoch); err != nil {
 		return err
 	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := s.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("persist: %w", err)
+	if err := s.truncateWALLocked(); err != nil {
+		return err
 	}
 	// The WAL is empty and at a clean boundary again; a previous
 	// append failure no longer poisons durability.
 	s.walErr = nil
-	s.walRecords = 0
-	s.snapDB = db.Clone()
-	s.history = nil
+	s.snapDB = db // installed below; installed states are immutable
+	s.resetHistoryLocked()
 	s.seq = seq
 	s.seqMirror.Store(int64(seq))
 	s.baseSeq = seq

@@ -105,8 +105,8 @@ func TestResetToSnapshot(t *testing.T) {
 	if got := renderDB(s.Universe(), s.Snapshot()); got != "lead(a), lead(b)" {
 		t.Fatalf("db = %q", got)
 	}
-	if len(s.History()) != 0 {
-		t.Fatalf("history not cleared: %v", s.History())
+	if len(mustHistory(t, s)) != 0 {
+		t.Fatalf("history not cleared: %v", mustHistory(t, s))
 	}
 	// Replication continues from the adopted sequence...
 	if err := s.ApplyReplicatedFrom(TxnRecord{Seq: 43, Added: []string{"lead(c)"}}, 0); err != nil {
@@ -143,7 +143,7 @@ func TestReplicaCutTiles(t *testing.T) {
 	defer s.Close()
 	applyN(t, s, 3)
 
-	cut, err := s.ReplicaCut(true, 64)
+	cut, err := s.ReplicaCut(0, true, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

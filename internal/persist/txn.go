@@ -15,13 +15,14 @@ import (
 
 // History returns the committed transactions since the last
 // checkpoint, oldest first, with their global sequence numbers.
-// Transactions that changed nothing are not recorded.
-func (s *Store) History() []TxnRecord {
+// Transactions that changed nothing are not recorded. The ones older
+// than the in-memory tail are read back from the WAL, without trace
+// IDs; the error reports a failed read.
+func (s *Store) History() ([]TxnRecord, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TxnRecord, len(s.history))
-	copy(out, s.history)
-	return out
+	c := s.cutHistoryLocked(0)
+	s.mu.Unlock()
+	return s.readCut(c)
 }
 
 // BaseSeq returns the global sequence number of the last checkpoint:
@@ -39,32 +40,24 @@ func (s *Store) BaseSeq() int {
 // It errors if seq is outside that window.
 func (s *Store) StateAt(seq int) (*core.Database, error) {
 	s.mu.Lock()
-	base := s.baseSeq
-	hist := make([]TxnRecord, len(s.history))
-	copy(hist, s.history)
-	snap := s.snapDB.Clone()
-	s.mu.Unlock()
-	if seq < base || seq > base+len(hist) {
-		return nil, fmt.Errorf("persist: transaction %d out of range [%d, %d]", seq, base, base+len(hist))
+	base, last, snap := s.baseSeq, s.seq, s.snapDB
+	if seq < base || seq > last {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("persist: transaction %d out of range [%d, %d]", seq, base, last)
 	}
-	db := snap
+	c := s.cutHistoryLocked(0)
+	s.mu.Unlock()
+	hist, err := s.readCut(c)
+	if err != nil {
+		return nil, err
+	}
+	db := snap.Clone()
 	for _, txn := range hist {
 		if txn.Seq > seq {
 			break
 		}
-		for _, text := range txn.Added {
-			id, err := s.internAtomText(text)
-			if err != nil {
-				return nil, err
-			}
-			db.Add(id)
-		}
-		for _, text := range txn.Removed {
-			id, err := s.internAtomText(text)
-			if err != nil {
-				return nil, err
-			}
-			db.Remove(id)
+		if err := s.applyDelta(db, txn); err != nil {
+			return nil, err
 		}
 	}
 	return db, nil
@@ -107,15 +100,10 @@ func (s *Store) Checkpoint() error {
 		s.enterDegraded("checkpoint snapshot", err)
 		return fmt.Errorf("%w; %w", err, ErrDegraded)
 	}
-	if err := s.wal.Truncate(0); err != nil {
+	if err := s.truncateWALLocked(); err != nil {
 		s.enterDegraded("checkpoint wal truncate", err)
-		return fmt.Errorf("persist: %w; %w", err, ErrDegraded)
+		return fmt.Errorf("%w; %w", err, ErrDegraded)
 	}
-	if _, err := s.wal.Seek(0, 0); err != nil {
-		s.enterDegraded("checkpoint wal seek", err)
-		return fmt.Errorf("persist: %w; %w", err, ErrDegraded)
-	}
-	s.walRecords = 0
 	// The truncation dropped the durable vote and fence records;
 	// re-append them so the single-vote-per-epoch rule and the fencing
 	// floor still hold across a restart.
@@ -123,8 +111,8 @@ func (s *Store) Checkpoint() error {
 		s.enterDegraded("checkpoint wal reseed", err)
 		return fmt.Errorf("persist: %w; %w", err, ErrDegraded)
 	}
-	s.snapDB = db.Clone()
-	s.history = nil
+	s.snapDB = db // installed states are immutable
+	s.resetHistoryLocked()
 	s.baseSeq = s.seq
 	s.baseEpoch = s.epoch
 	s.cfg.slogger.Info("checkpoint written", "seq", s.seq, "epoch", s.epoch)
@@ -144,6 +132,21 @@ func (s *Store) Checkpoint() error {
 	s.pendingTxns = 0
 	s.syncCond.Broadcast()
 	s.syncMu.Unlock()
+	return nil
+}
+
+// truncateWALLocked empties the WAL once a snapshot covers it, after
+// any history read still decoding it is done. Callers hold s.mu.
+func (s *Store) truncateWALLocked() error {
+	s.walGate.Lock()
+	defer s.walGate.Unlock()
+	if err := s.wal.Truncate(0); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if _, err := s.wal.Seek(0, 0); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	s.walRecords, s.walBytes = 0, 0
 	return nil
 }
 

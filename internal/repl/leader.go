@@ -141,8 +141,10 @@ func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fromEpoch, haveEpoch = n, true
 	}
 
-	// Take a consistent cut — without the snapshot first (the common
-	// resume case), retaking it with the snapshot when the follower
+	// Take a consistent cut — without the snapshot and with history
+	// from `from` on first (the common resume case: when the follower
+	// is inside the leader's in-memory tail nothing is read from the
+	// WAL), retaking it whole with the snapshot when the follower
 	// cannot resume from history: its sequence predates the leader's
 	// last checkpoint, lies beyond the leader's sequence (divergence —
 	// e.g. the follower outlived a leader restore; the leader's state
@@ -158,18 +160,18 @@ func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		epochAt := c.BaseEpoch
 		if from > c.BaseSeq {
-			epochAt = c.History[from-c.BaseSeq-1].Epoch
+			epochAt = c.History[from-c.History[0].Seq].Epoch
 		}
 		return epochAt == fromEpoch
 	}
-	cut, err := l.store.ReplicaCut(false, l.buffer)
+	cut, err := l.store.ReplicaCut(from, false, l.buffer)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	if !resumable(cut) {
 		cut.Cancel()
-		if cut, err = l.store.ReplicaCut(true, l.buffer); err != nil {
+		if cut, err = l.store.ReplicaCut(0, true, l.buffer); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flight"
+	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/persist"
 	"repro/internal/repl"
@@ -154,6 +155,53 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	}
 	if st := f.Status(); st.SnapshotLoads == 0 {
 		t.Fatalf("status = %+v, want at least one snapshot load", st)
+	}
+}
+
+// TestFollowerBehindTailCatchesUpFromWAL: a follower that falls
+// further behind than the leader's in-memory history tail resumes from
+// the leader's WAL, not from a snapshot.
+func TestFollowerBehindTailCatchesUpFromWAL(t *testing.T) {
+	leaderStore := openStore(t)
+	ts := httptest.NewServer(server.New(leaderStore).Handler())
+	defer ts.Close()
+	for i := 0; i < 3; i++ {
+		apply(t, leaderStore, fmt.Sprintf("+u(e%d).", i))
+	}
+	followerStore := openStore(t)
+	reg := metrics.NewRegistry()
+	loads := reg.Counter("park_repl_follower_snapshot_loads_total", "")
+	f := fastFollower(followerStore, ts.URL)
+	f.Instrument(reg)
+	stop := runFollower(t, f)
+	waitFor(t, 5*time.Second, "initial catch-up", func() bool {
+		return followerStore.Seq() == leaderStore.Seq()
+	})
+	stop()
+	bootstrap := loads.Value()
+
+	// Commit until the leader's tail no longer reaches back to the
+	// follower. ApplyReplicatedFrom skips the engine and the fsync.
+	behind := followerStore.Seq()
+	for leaderStore.Growth().HistoryRecords >= leaderStore.Seq()-behind {
+		seq := leaderStore.Seq() + 1
+		txn := persist.TxnRecord{Seq: seq, Added: []string{fmt.Sprintf("u(e%d)", seq)}, Removed: []string{fmt.Sprintf("u(e%d)", seq-2)}}
+		if err := leaderStore.ApplyReplicatedFrom(txn, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f2 := fastFollower(followerStore, ts.URL)
+	f2.Instrument(reg)
+	runFollower(t, f2)
+	waitFor(t, 10*time.Second, "catch-up from the WAL", func() bool {
+		return followerStore.Seq() == leaderStore.Seq()
+	})
+	if facts(followerStore) != facts(leaderStore) {
+		t.Fatalf("follower = %q, leader = %q", facts(followerStore), facts(leaderStore))
+	}
+	if got := loads.Value(); got != bootstrap {
+		t.Fatalf("snapshot loads = %d, want %d as at bootstrap: the follower was not served from the WAL", got, bootstrap)
 	}
 }
 
@@ -481,7 +529,10 @@ func TestTracePropagation(t *testing.T) {
 		return followerStore.Seq() == leaderStore.Seq()
 	})
 
-	hist := followerStore.History()
+	hist, err := followerStore.History()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(hist) != 2 || hist[0].TraceID != "req-42" || hist[1].TraceID != "" {
 		t.Fatalf("follower history trace IDs wrong: %+v", hist)
 	}

@@ -94,12 +94,16 @@ func (c *Client) Program(ctx context.Context) (*ProgramResponse, error) {
 	return &resp, nil
 }
 
-// Transact applies an update set through the active rules.
+// Transact applies an update set through the active rules. The
+// response is the transaction's diff — the facts it added and removed,
+// its sequence and epoch — and the run's statistics, not the database:
+// call Database for that.
 func (c *Client) Transact(ctx context.Context, updates string) (*TransactionResponse, error) {
 	return c.TransactWith(ctx, TransactionRequest{Updates: updates})
 }
 
-// TransactWith applies an update set with explicit options.
+// TransactWith applies an update set with explicit options; the
+// response is the diff, as for Transact.
 func (c *Client) TransactWith(ctx context.Context, req TransactionRequest) (*TransactionResponse, error) {
 	var resp TransactionResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/transaction", req, &resp); err != nil {
@@ -108,7 +112,7 @@ func (c *Client) TransactWith(ctx context.Context, req TransactionRequest) (*Tra
 	return &resp, nil
 }
 
-// Database lists the current facts.
+// Database lists the current facts, sorted.
 func (c *Client) Database(ctx context.Context) ([]string, error) {
 	var resp DatabaseResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/database", nil, &resp); err != nil {

@@ -166,11 +166,11 @@ func (s *Server) rejectSuspended(w http.ResponseWriter) {
 // outcome decides the client's acknowledgment: only writes that
 // reached a majority are answered 200, which is exactly the set of
 // writes the election protocol guarantees to survive a failover.
-func (s *Server) waitReplicated(ctx context.Context, info persist.CommitInfo) error {
-	if s.node == nil || info.Seq == 0 {
+func (s *Server) waitReplicated(ctx context.Context, seq int) error {
+	if s.node == nil || seq == 0 {
 		return nil
 	}
 	wctx, cancel := context.WithTimeout(ctx, 2*s.node.Lease())
 	defer cancel()
-	return s.node.WaitReplicated(wctx, info.Seq)
+	return s.node.WaitReplicated(wctx, seq)
 }

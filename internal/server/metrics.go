@@ -33,10 +33,13 @@ type engineMetrics struct {
 	blocked    *metrics.Gauge
 	runSeconds *metrics.Histogram
 
-	storeFacts *metrics.Gauge
-	storeWAL   *metrics.Gauge
-	inFlight   *metrics.Gauge
-	uptime     *metrics.Gauge
+	storeFacts   *metrics.Gauge
+	storeWAL     *metrics.Gauge
+	walBytes     *metrics.Gauge
+	historyTxns  *metrics.Gauge
+	historyBytes *metrics.Gauge
+	inFlight     *metrics.Gauge
+	uptime       *metrics.Gauge
 }
 
 // newEngineMetrics registers the engine and store instruments.
@@ -78,6 +81,12 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 			"Facts in the current database instance (sampled at scrape time)."),
 		storeWAL: reg.Gauge("park_store_wal_records",
 			"Write-ahead-log records appended since the last checkpoint (sampled at scrape time)."),
+		walBytes: reg.Gauge("park_store_wal_bytes",
+			"Write-ahead-log bytes appended since the last checkpoint; only a checkpoint bounds them (sampled at scrape time)."),
+		historyTxns: reg.Gauge("park_store_history_records",
+			"Committed transactions held in the in-memory history tail; bounded, older ones are read from the WAL (sampled at scrape time)."),
+		historyBytes: reg.Gauge("park_store_history_bytes",
+			"Atom text bytes held in the in-memory history tail; bounded (sampled at scrape time)."),
 		inFlight: reg.Gauge("park_http_in_flight",
 			"HTTP requests currently being served."),
 		uptime: reg.Gauge("park_uptime_seconds",
@@ -161,7 +170,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Store gauges are sampled at scrape time: they describe current
 	// state, not an accumulation.
 	s.em.storeFacts.Set(int64(s.store.Len()))
-	s.em.storeWAL.Set(int64(s.store.WALRecords()))
+	g := s.store.Growth()
+	s.em.storeWAL.Set(int64(g.WALRecords))
+	s.em.walBytes.Set(g.WALBytes)
+	s.em.historyTxns.Set(int64(g.HistoryRecords))
+	s.em.historyBytes.Set(int64(g.HistoryBytes))
 	s.em.uptime.Set(int64(time.Since(s.start).Seconds()))
 	if s.follower != nil {
 		// Replication lag, sequences and connectedness likewise.

@@ -101,6 +101,18 @@ func TestMetricsJSONAfterConflictTransaction(t *testing.T) {
 	if total, _ := snapValue(snap, "park_store_facts"); total == 0 {
 		t.Errorf("park_store_facts = 0, want facts after the transaction")
 	}
+	// The growth gauges: one committed transaction in the history tail
+	// and in the WAL.
+	for name, want := range map[string]func(int64) bool{
+		"park_store_history_records": func(v int64) bool { return v == 1 },
+		"park_store_history_bytes":   func(v int64) bool { return v > 0 },
+		"park_store_wal_records":     func(v int64) bool { return v > 1 },
+		"park_store_wal_bytes":       func(v int64) bool { return v > 0 },
+	} {
+		if v, _ := snapValue(snap, name); !want(v) {
+			t.Errorf("%s = %d after one commit", name, v)
+		}
+	}
 
 	// Per-endpoint latency histogram recorded the transaction.
 	var reqHist *metrics.HistogramValue
@@ -156,6 +168,10 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"# TYPE park_engine_run_seconds histogram",
 		"park_engine_run_seconds_count 1",
 		"# TYPE park_store_facts gauge",
+		"# TYPE park_store_history_records gauge",
+		"park_store_history_records 1",
+		"# TYPE park_store_history_bytes gauge",
+		"# TYPE park_store_wal_bytes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus exposition missing %q", want)

@@ -8,7 +8,7 @@
 //
 //	PUT  /v1/program       install the active rule program
 //	GET  /v1/program       fetch the active rule program
-//	POST /v1/transaction   apply an update set through the rules
+//	POST /v1/transaction   apply an update set through the rules; answers the diff
 //	GET  /v1/database      list the current facts
 //	POST /v1/query         run a conjunctive query
 //	POST /v1/analyze       static analysis of the active program
@@ -397,9 +397,20 @@ type ConflictInfo struct {
 	Decision string `json:"decision"`
 }
 
-// TransactionResponse reports the outcome of a transaction.
+// TransactionResponse reports the outcome of a transaction: what it
+// changed in D, not D itself (GET /v1/database lists D).
 type TransactionResponse struct {
-	Facts     []string       `json:"facts"`
+	// Seq is the committed global sequence (0 when the transaction was
+	// a no-op and nothing was installed).
+	Seq int `json:"seq"`
+	// Epoch is the leadership epoch the transaction committed under
+	// (0 outside cluster mode and for a no-op).
+	Epoch int64 `json:"epoch"`
+	// Added and Removed are the transaction's delta in rule-language
+	// syntax, as /v1/history, /v1/watch and replication frames carry
+	// it; both are empty for a no-op.
+	Added     []string       `json:"added"`
+	Removed   []string       `json:"removed"`
 	Phases    int            `json:"phases"`
 	Restarts  int            `json:"restarts"`
 	Steps     int            `json:"steps"`
@@ -407,12 +418,6 @@ type TransactionResponse struct {
 	Blocked   int            `json:"blocked"`
 	// WallSeconds is the engine wall-clock time of this transaction.
 	WallSeconds float64 `json:"wallSeconds"`
-	// Seq is the committed global sequence (0 when the transaction was
-	// a no-op and nothing was installed).
-	Seq int `json:"seq,omitempty"`
-	// Epoch is the leadership epoch the transaction committed under
-	// (0 outside cluster mode).
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // DatabaseResponse lists the current facts.
@@ -541,7 +546,7 @@ func (s *Server) handleTransaction(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, info, err := s.store.ApplyTxn(r.Context(), prog, ups, strat, core.Options{})
+	res, txn, err := s.store.ApplyTxn(r.Context(), prog, ups, strat, core.Options{})
 	if err != nil {
 		s.writeApplyErr(w, err)
 		return
@@ -551,22 +556,23 @@ func (s *Server) handleTransaction(w http.ResponseWriter, r *http.Request) {
 	// ("acked" implies "survives leader loss"). A commit that cannot
 	// reach quorum in time is reported 503: it is durable locally but
 	// its fate is decided by the next election.
-	if err := s.waitReplicated(r.Context(), info); err != nil {
+	if err := s.waitReplicated(r.Context(), txn.Seq); err != nil {
 		s.setRetryAfterSecs(w, 1)
 		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("committed locally as seq %d but not yet replicated to a majority: %w", info.Seq, err))
+			fmt.Errorf("committed locally as seq %d but not yet replicated to a majority: %w", txn.Seq, err))
 		return
 	}
 	s.em.recordRun(res.RunStats)
 	resp := TransactionResponse{
-		Facts:       factStrings(u, res.Output),
+		Seq:         txn.Seq,
+		Epoch:       txn.Epoch,
+		Added:       orEmpty(txn.Added),
+		Removed:     orEmpty(txn.Removed),
 		Phases:      res.RunStats.Phases,
 		Restarts:    res.RunStats.Restarts,
 		Steps:       res.RunStats.Steps,
 		Blocked:     res.RunStats.BlockedInstances,
 		WallSeconds: res.RunStats.Wall.Seconds(),
-		Seq:         info.Seq,
-		Epoch:       info.Epoch,
 	}
 	for _, rc := range res.Conflicts {
 		resp.Conflicts = append(resp.Conflicts, ConflictInfo{
@@ -675,9 +681,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// orEmpty renders a nil list as [] rather than null.
+func orEmpty(atoms []string) []string {
+	if atoms == nil {
+		return []string{}
+	}
+	return atoms
+}
+
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+	hist, err := s.store.History()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	resp := HistoryResponse{Transactions: []TxnInfo{}}
-	for _, txn := range s.store.History() {
+	for _, txn := range hist {
 		resp.Transactions = append(resp.Transactions, TxnInfo{Seq: txn.Seq, Added: txn.Added, Removed: txn.Removed})
 	}
 	writeJSON(w, http.StatusOK, resp)

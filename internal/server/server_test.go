@@ -50,11 +50,17 @@ func TestEndToEndTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"audit(tom)", "emp(tom)"}
-	if !reflect.DeepEqual(resp.Facts, want) {
-		t.Fatalf("facts = %v, want %v", resp.Facts, want)
+	// The response is the delta; GET /v1/database is D.
+	if want := []string{"audit(tom)"}; !reflect.DeepEqual(resp.Added, want) {
+		t.Fatalf("added = %v, want %v", resp.Added, want)
 	}
-
+	if want := []string{"active(tom)", "payroll(tom, 100)"}; !reflect.DeepEqual(resp.Removed, want) {
+		t.Fatalf("removed = %v, want %v", resp.Removed, want)
+	}
+	if resp.Seq != 2 {
+		t.Fatalf("seq = %d, want 2", resp.Seq)
+	}
+	want := []string{"audit(tom)", "emp(tom)"}
 	facts, err := c.Database(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +127,9 @@ func TestStrategyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range resp.Facts {
+	for _, f := range resp.Added {
 		if f == "a(x)" {
-			t.Fatalf("inertia kept a(x): %v", resp.Facts)
+			t.Fatalf("inertia inserted a(x): %v", resp.Added)
 		}
 	}
 	// Priority override inserts.
@@ -131,14 +137,8 @@ func TestStrategyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, f := range resp.Facts {
-		if f == "a(x)" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("priority did not insert a(x): %v", resp.Facts)
+	if !reflect.DeepEqual(resp.Added, []string{"a(x)"}) {
+		t.Fatalf("priority did not insert a(x): %v", resp.Added)
 	}
 	// Unknown strategy rejected.
 	if _, err := c.TransactWith(ctx, TransactionRequest{Strategy: "nope"}); err == nil {
@@ -298,8 +298,8 @@ func TestTriggerDDLOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tx.Facts) != 1 || tx.Facts[0] != "audit(tom)" {
-		t.Fatalf("facts = %v", tx.Facts)
+	if !reflect.DeepEqual(tx.Added, []string{"audit(tom)"}) || !reflect.DeepEqual(tx.Removed, []string{"active(tom)"}) {
+		t.Fatalf("delta = +%v -%v", tx.Added, tx.Removed)
 	}
 	// Unknown format rejected.
 	if _, err := c.SetProgramWith(ctx, ProgramRequest{Source: ``, Format: "sql"}); err == nil {

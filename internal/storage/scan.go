@@ -44,35 +44,3 @@ func (r *Relation) Candidates(pattern []int32, useIndex bool) (rows []int32, all
 	}
 	return rows, !found
 }
-
-// Scan calls fn for every row of r that matches pattern, in row
-// order, until fn returns false. It examines the rows Candidates
-// selects.
-func (r *Relation) Scan(pattern []int32, useIndex bool, fn func(row int) bool) {
-	rows, all := r.Candidates(pattern, useIndex)
-	if !all {
-		for _, row := range rows {
-			if MatchRow(r.Row(int(row)), pattern) && !fn(int(row)) {
-				return
-			}
-		}
-		return
-	}
-	n := r.Len()
-	for row := 0; row < n; row++ {
-		if MatchRow(r.Row(row), pattern) && !fn(row) {
-			return
-		}
-	}
-}
-
-// Contains reports whether any row matches the fully or partially
-// bound pattern.
-func (r *Relation) Contains(pattern []int32, useIndex bool) bool {
-	found := false
-	r.Scan(pattern, useIndex, func(int) bool {
-		found = true
-		return false
-	})
-	return found
-}

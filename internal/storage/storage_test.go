@@ -39,10 +39,8 @@ func TestRelationZeroArity(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("len = %d, want 1", r.Len())
 	}
-	seen := 0
-	r.Scan(nil, true, func(row int) bool { seen++; return true })
-	if seen != 1 {
-		t.Fatalf("scanned %d rows, want 1", seen)
+	if rows := scanRows(r, nil, true); len(rows) != 1 {
+		t.Fatalf("scanned rows %v, want one", rows)
 	}
 	r.Truncate()
 	if r.Len() != 0 {
@@ -109,12 +107,21 @@ func TestTruncateDropsIndexes(t *testing.T) {
 	}
 }
 
+// scanRows lists the rows matching pattern as the matcher finds them:
+// the candidates Candidates selects, filtered by MatchRow.
 func scanRows(r *Relation, pattern []int32, useIndex bool) []int {
 	var rows []int
-	r.Scan(pattern, useIndex, func(row int) bool {
-		rows = append(rows, row)
-		return true
-	})
+	cand, all := r.Candidates(pattern, useIndex)
+	if all {
+		for row := 0; row < r.Len(); row++ {
+			cand = append(cand, int32(row))
+		}
+	}
+	for _, row := range cand {
+		if MatchRow(r.Row(int(row)), pattern) {
+			rows = append(rows, int(row))
+		}
+	}
 	return rows
 }
 
@@ -168,7 +175,7 @@ func TestScanIndexedVsLinearAgree(t *testing.T) {
 		}
 	}
 	// White-box check that the heuristic consults the selective
-	// column at all: pre-heuristic Scan probed only the FIRST bound
+	// column at all: a pre-heuristic scan probed only the FIRST bound
 	// column, so column 1's index was never built for a {bound,
 	// bound, _} pattern. With the smallest-list selection every bound
 	// column is probed (to compare list lengths), which is observable
@@ -177,44 +184,13 @@ func TestScanIndexedVsLinearAgree(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		fresh.Append([]int32{7, int32(i % 100), int32(i % 2)}, int32(i))
 	}
-	fresh.Scan([]int32{7, 42, Unbound}, true, func(int) bool { return true })
+	fresh.Candidates([]int32{7, 42, Unbound}, true)
 	if fresh.builtUpTo[1] != 400 {
 		t.Fatalf("selective column index built up to %d rows, want 400 (heuristic never considered column 1)", fresh.builtUpTo[1])
 	}
 	// And the probe sizes confirm which list the heuristic favors.
 	if c0, c1 := len(fresh.Probe(0, 7)), len(fresh.Probe(1, 42)); c0 != 400 || c1 != 4 {
 		t.Fatalf("posting lists = %d/%d, want 400/4", c0, c1)
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	r := NewRelation(1)
-	for i := 0; i < 10; i++ {
-		r.Append([]int32{1}, int32(i))
-	}
-	calls := 0
-	r.Scan([]int32{1}, true, func(int) bool { calls++; return false })
-	if calls != 1 {
-		t.Fatalf("fn called %d times, want 1", calls)
-	}
-	calls = 0
-	r.Scan([]int32{1}, false, func(int) bool { calls++; return false })
-	if calls != 1 {
-		t.Fatalf("linear fn called %d times, want 1", calls)
-	}
-}
-
-func TestContains(t *testing.T) {
-	r := NewRelation(2)
-	r.Append([]int32{1, 2}, 0)
-	if !r.Contains([]int32{1, Unbound}, true) {
-		t.Fatal("Contains(1,_) = false")
-	}
-	if r.Contains([]int32{2, 2}, true) {
-		t.Fatal("Contains(2,2) = true")
-	}
-	if r.Contains([]int32{2, 2}, false) {
-		t.Fatal("linear Contains(2,2) = true")
 	}
 }
 

@@ -422,8 +422,11 @@ func TestFacadeSystemLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Facts) != 1 || resp.Facts[0] != "audit(tom)" {
-		t.Fatalf("facts = %v", resp.Facts)
+	if len(resp.Added) != 1 || resp.Added[0] != "audit(tom)" {
+		t.Fatalf("added = %v", resp.Added)
+	}
+	if facts, err := c.Database(ctx); err != nil || len(facts) != 1 || facts[0] != "audit(tom)" {
+		t.Fatalf("database = %v, %v", facts, err)
 	}
 	// Backup through the facade type and restore into a new store.
 	var buf strings.Builder
