@@ -41,7 +41,7 @@ func main() {
 		{"B8", "unambiguity: sequential firing orders vs PARK", runB8},
 		{"B9", "ablation: blocking granularity (all conflicts vs one per restart)", runB9},
 		{"B11", "full-system transaction throughput (durable store)", runB11},
-		{"B12", "concurrent commit pipeline: group commit vs serialized", runB12},
+		{"B12", "concurrent commit pipeline: group commit by client count", runB12},
 		{"B13", "read-replica scaling: throughput and lag vs follower count", runB13},
 		{"B14", "flight-recorder overhead: off vs on vs always-slow", runB14},
 	}

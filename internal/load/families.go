@@ -101,15 +101,16 @@ func DefaultScenarios() []Scenario {
 		Seed:     4,
 	})
 
-	// hotkey: every write hits the same atom, so commits serialize on
-	// one logical key and the store's optimistic commit path retries;
-	// watch park_store_commit_retries_total in the server delta.
+	// hotkey: every write hits the same atom at high concurrency, so
+	// commits queue for the store's commit slot and share fsyncs;
+	// compare park_store_fsyncs_total with the transaction count in the
+	// server delta.
 	out = append(out, Scenario{
 		Name:   "hotkey",
 		Family: "hotkey",
 		Description: "all writes contend on a single key at high " +
-			"concurrency; exercises the store's optimistic commit retries " +
-			"and queueing under contention",
+			"concurrency; exercises the store's commit slot and group " +
+			"commit under contention",
 		Program: `
 			rule bump: +hit(K) -> +hot(K).
 		`,

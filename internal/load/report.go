@@ -72,7 +72,7 @@ type ScenarioResult struct {
 	Failover *FailoverResult `json:"failover,omitempty"`
 
 	// ServerDelta is the change in the server's park_* counters over
-	// the measured window (engine phases, restarts, commit retries,
+	// the measured window (engine phases, restarts, fsyncs,
 	// timer fires, ...), summed across labels per metric name.
 	ServerDelta map[string]int64 `json:"serverDelta,omitempty"`
 

@@ -18,12 +18,12 @@ import (
 // probe repairs it (see degrade.go). It returns the engine result,
 // whose Output is the installed state: it must not be mutated.
 //
-// Apply is safe to call from many goroutines. Evaluation runs on an
-// immutable snapshot outside the store lock; if another transaction
-// commits first, the evaluation is retried on the new state
-// (optimistic concurrency). Durability is acknowledged through group
-// commit: one fsync covers every transaction installed since the
-// previous fsync.
+// Apply is safe to call from many goroutines. Transactions evaluate
+// one at a time, in commit order, each on the state its predecessor
+// installed, so no evaluation is ever stale. Durability is
+// acknowledged through group commit: one fsync covers every
+// transaction installed since the previous fsync, and it runs while
+// the next transaction evaluates.
 func (s *Store) Apply(ctx context.Context, prog *core.Program, updates []core.Update, strategy core.Strategy, opts core.Options) (*core.Result, error) {
 	res, _, err := s.ApplyTxn(ctx, prog, updates, strategy, opts)
 	return res, err
@@ -41,83 +41,74 @@ func (s *Store) ApplyTxn(ctx context.Context, prog *core.Program, updates []core
 	if err := s.degradedErr(); err != nil {
 		return nil, TxnRecord{}, err
 	}
-	if err := s.acquireSlot(ctx); err != nil {
+	// A caller-supplied tracer wins over the flight recorder: the
+	// engine takes one tracer, and explicit tracing is rarer and more
+	// deliberate.
+	var rec *flight.Recorder
+	if s.flight != nil && opts.Tracer == nil {
+		rec = flight.NewRecorder(s.u)
+		opts.Tracer = rec
+	}
+	eng, err := core.NewEngine(s.u, prog, strategy, opts)
+	if err != nil {
 		return nil, TxnRecord{}, err
 	}
-	defer s.releaseSlot()
-	if s.cfg.serialized {
-		return s.applySerialized(ctx, prog, updates, strategy, opts)
+	res, txn, lsn, err := s.commit(ctx, eng, updates)
+	if err != nil || txn.Seq == 0 {
+		return res, TxnRecord{}, err
 	}
-
-	traceID := flight.TraceID(ctx)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, TxnRecord{}, err
-		}
-		base := s.current()
-		// Attach a fresh flight recorder per attempt (a retry re-runs
-		// the evaluation, so the previous attempt's events are stale).
-		// A caller-supplied tracer wins: the engine takes one tracer,
-		// and explicit tracing is rarer and more deliberate.
-		attemptOpts := opts
-		var rec *flight.Recorder
-		if s.flight != nil && opts.Tracer == nil {
-			rec = flight.NewRecorder(s.u)
-			attemptOpts.Tracer = rec
-		}
-		eng, err := core.NewEngine(s.u, prog, strategy, attemptOpts)
-		if err != nil {
-			return nil, TxnRecord{}, err
-		}
-		// Evaluate outside the lock: base.db is immutable, the engine
-		// never mutates its input, and the universe interns safely
-		// under concurrency.
-		res, err := eng.Run(ctx, base.db, updates)
-		if err != nil {
-			return nil, TxnRecord{}, err
-		}
-
-		lockStart := time.Now()
-		s.mu.Lock()
-		s.met.observeLockWait(time.Since(lockStart))
-		if s.closed {
-			s.mu.Unlock()
-			return nil, TxnRecord{}, ErrClosed
-		}
-		if cur := s.current(); cur.version != base.version {
-			// A concurrent commit changed the base state under us:
-			// the evaluation may be stale, so redo it on the new state.
-			s.mu.Unlock()
-			s.met.incRetry()
-			continue
-		}
-		if len(res.Inserted)+len(res.Deleted) == 0 {
-			// Nothing changed; no WAL traffic, no history entry, no
-			// version bump needed (installing the same facts).
-			s.mu.Unlock()
-			return res, TxnRecord{}, nil
-		}
-		txn, lsn, err := s.installLocked(base, res, traceID)
-		s.mu.Unlock()
-		if err != nil {
-			s.enterDegraded("wal append", err)
-			return nil, TxnRecord{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
-		}
-		s.recordTrace(rec, prog, txn, res)
-		// The state is installed (later transactions already build on
-		// it); acknowledge the caller only once the batch is durable.
-		if err := s.waitDurable(lsn); err != nil {
-			return nil, TxnRecord{}, fmt.Errorf("persist: wal sync: %w", err)
-		}
-		return res, txn, nil
+	s.recordTrace(rec, prog, txn, res)
+	// The state is installed and the slot released, so the next
+	// transaction evaluates while this fsync runs; acknowledge the
+	// caller only once the batch is durable.
+	if err := s.waitDurable(lsn); err != nil {
+		return nil, TxnRecord{}, fmt.Errorf("persist: wal sync: %w", err)
 	}
+	return res, txn, nil
 }
 
-// recordTrace publishes the attempt's flight trace (if recording was
-// on), folds the run's per-rule counters into the rolling rule
+// commit evaluates the transaction on the current state and installs
+// the result, holding the commit slot throughout: no other install can
+// move the base under the evaluation. A transaction that changed
+// nothing returns the zero TxnRecord. The returned LSN is the logical
+// WAL position the caller must wait on for durability.
+func (s *Store) commit(ctx context.Context, eng *core.Engine, updates []core.Update) (*core.Result, TxnRecord, int64, error) {
+	if err := s.acquireSlot(ctx); err != nil {
+		return nil, TxnRecord{}, 0, err
+	}
+	defer s.releaseSlot()
+	// The engine never mutates its input, and the universe interns
+	// safely under concurrency, so evaluation needs no lock: readers
+	// and checkpoints proceed meanwhile.
+	res, err := eng.Run(ctx, s.current(), updates)
+	if err != nil {
+		return nil, TxnRecord{}, 0, err
+	}
+	lockStart := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.met.observeLockWait(time.Since(lockStart))
+	if s.closed {
+		return nil, TxnRecord{}, 0, ErrClosed
+	}
+	if len(res.Inserted)+len(res.Deleted) == 0 {
+		// Nothing changed: no WAL traffic, no history entry.
+		return res, TxnRecord{}, 0, nil
+	}
+	txn, lsn, err := s.installLocked(res, flight.TraceID(ctx))
+	if err != nil {
+		s.enterDegraded("wal append", err)
+		return nil, TxnRecord{}, 0, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
+	}
+	return res, txn, lsn, nil
+}
+
+// recordTrace publishes the transaction's flight trace (if recording
+// was on), folds the run's per-rule counters into the rolling rule
 // profile, and emits the structured commit record. It runs after the
-// install, outside every store lock: name resolution, the ring insert
-// and the profile fold are off the commit-ordering critical path.
+// install, outside the commit slot and every store lock: name
+// resolution, the ring insert and the profile fold are off the
+// commit-ordering critical path.
 func (s *Store) recordTrace(rec *flight.Recorder, prog *core.Program, txn TxnRecord, res *core.Result) {
 	wall := res.RunStats.Wall
 	if rec != nil && s.flight != nil {
@@ -137,10 +128,10 @@ func (s *Store) recordTrace(rec *flight.Recorder, prog *core.Program, txn TxnRec
 // installLocked appends the run's delta (res.Inserted, res.Deleted)
 // and a commit marker to the WAL, records the transaction in history,
 // and installs res.Output as the new state — not a copy: Incorp built
-// it fresh, and nobody mutates it after. Callers hold s.mu. The
-// returned LSN is the logical position the caller must wait on for
-// durability.
-func (s *Store) installLocked(base *dbState, res *core.Result, traceID string) (TxnRecord, int64, error) {
+// it fresh, and nobody mutates it after. Callers hold the commit slot
+// and s.mu. The returned LSN is the logical position the caller must
+// wait on for durability.
+func (s *Store) installLocked(res *core.Result, traceID string) (TxnRecord, int64, error) {
 	txn := TxnRecord{Seq: s.seq + 1, Epoch: s.epoch, TraceID: traceID,
 		Added: make([]string, 0, len(res.Inserted)), Removed: make([]string, 0, len(res.Deleted))}
 	for _, id := range res.Inserted {
@@ -163,7 +154,7 @@ func (s *Store) installLocked(base *dbState, res *core.Result, traceID string) (
 	s.seq = txn.Seq
 	s.seqMirror.Store(int64(txn.Seq))
 	s.pushHistoryLocked(txn)
-	s.state.Store(&dbState{db: res.Output, version: base.version + 1})
+	s.state.Store(res.Output)
 	// Notify here (in commit order) rather than after the fsync:
 	// concurrent committers complete their durability waits out of
 	// order, and subscribers rely on seeing monotonic sequences.
@@ -237,66 +228,19 @@ func (s *Store) waitDurable(lsn int64) error {
 	}
 }
 
-// applySerialized is the legacy commit path (WithSerializedCommits):
-// one lock held across evaluation, append and a per-transaction
-// fsync. Kept for benchmarking the pipeline against it.
-func (s *Store) applySerialized(ctx context.Context, prog *core.Program, updates []core.Update, strategy core.Strategy, opts core.Options) (*core.Result, TxnRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, TxnRecord{}, ErrClosed
-	}
-	base := s.current()
-	var rec *flight.Recorder
-	if s.flight != nil && opts.Tracer == nil {
-		rec = flight.NewRecorder(s.u)
-		opts.Tracer = rec
-	}
-	eng, err := core.NewEngine(s.u, prog, strategy, opts)
-	if err != nil {
-		return nil, TxnRecord{}, err
-	}
-	res, err := eng.Run(ctx, base.db, updates)
-	if err != nil {
-		return nil, TxnRecord{}, err
-	}
-	if len(res.Inserted)+len(res.Deleted) == 0 {
-		return res, TxnRecord{}, nil
-	}
-	txn, _, err := s.installLocked(base, res, flight.TraceID(ctx))
-	if err != nil {
-		s.enterDegraded("wal append", err)
-		return nil, TxnRecord{}, fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
-	}
-	s.recordTrace(rec, prog, txn, res)
-	if err := s.wal.Sync(); err != nil {
-		s.syncMu.Lock()
-		s.syncErr = fmt.Errorf("%w; %w", err, ErrDegraded)
-		s.syncMu.Unlock()
-		s.enterDegraded("wal sync", err)
-		return nil, TxnRecord{}, fmt.Errorf("persist: wal sync: %w; %w", err, ErrDegraded)
-	}
-	s.syncMu.Lock()
-	if s.appendedLSN > s.syncedLSN {
-		s.syncedLSN = s.appendedLSN
-	}
-	s.met.observeBatch(s.pendingTxns)
-	s.pendingTxns = 0
-	s.syncMu.Unlock()
-	return res, txn, nil
-}
-
-// acquireSlot admits one transaction into the bounded commit
-// pipeline, waiting (context-aware) when the queue is full.
+// acquireSlot takes the commit slot, waiting (context-aware) while
+// another transaction evaluates or installs. Every install of a new
+// state — ApplyTxn, ApplyReplicatedFrom, ResetToSnapshot — holds the
+// slot, and takes it before s.mu.
 func (s *Store) acquireSlot(ctx context.Context) error {
 	select {
-	case s.queue <- struct{}{}:
+	case s.slot <- struct{}{}:
 		return nil
 	default:
 	}
 	start := time.Now()
 	select {
-	case s.queue <- struct{}{}:
+	case s.slot <- struct{}{}:
 		s.met.observeQueueWait(time.Since(start))
 		return nil
 	case <-ctx.Done():
@@ -305,4 +249,4 @@ func (s *Store) acquireSlot(ctx context.Context) error {
 	}
 }
 
-func (s *Store) releaseSlot() { <-s.queue }
+func (s *Store) releaseSlot() { <-s.slot }

@@ -209,7 +209,7 @@ func (s *Store) repair() error {
 	if s.closed {
 		return ErrClosed
 	}
-	db := s.current().db
+	db := s.current()
 	if err := s.writeSnapshotLocked(db, s.seq, s.epoch); err != nil {
 		return err
 	}

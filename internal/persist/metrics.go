@@ -15,7 +15,6 @@ var BatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 // is nil-safe; a bare library store pays only a nil check per event.
 type storeMetrics struct {
 	fsyncs    *metrics.Counter   // park_store_fsyncs_total
-	retries   *metrics.Counter   // park_store_commit_retries_total
 	batchSize *metrics.Histogram // park_store_commit_batch_size
 	queueWait *metrics.Histogram // park_store_commit_queue_wait_seconds
 	lockWait  *metrics.Histogram // park_store_commit_lock_wait_seconds
@@ -35,12 +34,10 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 	s.met = storeMetrics{
 		fsyncs: reg.Counter("park_store_fsyncs_total",
 			"WAL fsyncs issued; with group commit one fsync covers a batch of transactions."),
-		retries: reg.Counter("park_store_commit_retries_total",
-			"Transactions re-evaluated because a concurrent commit changed their base state."),
 		batchSize: reg.Histogram("park_store_commit_batch_size",
 			"Transactions made durable per fsync (group-commit batch size).", BatchBuckets),
 		queueWait: reg.Histogram("park_store_commit_queue_wait_seconds",
-			"Time transactions waited for admission to the bounded commit queue.", nil),
+			"Time transactions waited for the commit slot.", nil),
 		lockWait: reg.Histogram("park_store_commit_lock_wait_seconds",
 			"Time committers waited for the install lock.", nil),
 		degraded: reg.Gauge("park_store_degraded",
@@ -69,12 +66,6 @@ func (m *storeMetrics) observeBatch(n int64) {
 	}
 	if m.batchSize != nil && n > 0 {
 		m.batchSize.Observe(float64(n))
-	}
-}
-
-func (m *storeMetrics) incRetry() {
-	if m.retries != nil {
-		m.retries.Inc()
 	}
 }
 

@@ -10,27 +10,29 @@
 //	snapshot.park   ground facts in the rule language (atomic rename)
 //	wal.log         length- and CRC32-prefixed delta records
 //
-// Concurrency model. The store runs a three-stage commit pipeline:
+// Concurrency model. A transaction passes three stages:
 //
-//  1. Apply evaluates PARK(P, D, U) on an immutable copy-on-write
-//     snapshot of the current state, *outside* any lock. Because the
-//     semantics is a pure function of (program, database, updates),
-//     evaluation needs no mutual exclusion — only the install does.
-//  2. Under a narrow commit lock the store revalidates that the base
-//     state is still current (optimistic concurrency: if another
-//     transaction committed meanwhile, the evaluation is retried on
-//     the new state), appends the fact-level delta plus a commit
-//     marker to the WAL, and installs the new state pointer.
+//  1. Apply builds the engine outside any lock and takes the commit
+//     slot, a one-transaction semaphore whose admission respects the
+//     caller's context. Every install of a new state holds the slot,
+//     so transactions evaluate one at a time, in commit order, and no
+//     evaluation is ever stale: PARK(P, D, U) is a deterministic
+//     function of the state it reads, so there is nothing to revalidate.
+//  2. It evaluates PARK(P, D, U) on the installed state, then, under
+//     the narrow commit lock, appends the fact-level delta plus a
+//     commit marker to the WAL, installs the new state pointer, and
+//     releases the slot.
 //  3. Durability is acknowledged by WAL group commit: one fsync
 //     covers every transaction appended since the previous fsync
-//     (leader/follower — the first waiter syncs for the batch), so
-//     concurrent committers amortize the dominant fsync cost.
+//     (leader/follower — the first waiter syncs for the batch). The
+//     fsync runs outside the slot, while the next transaction
+//     evaluates, so a batch forms whenever an fsync outlasts an
+//     evaluation.
 //
 // Reads (Snapshot, Query, Len, Backup) load the installed state
-// pointer atomically and never take the commit lock: installed
-// databases are immutable, so readers are wait-free with respect to
-// writers. A bounded commit queue provides backpressure; admission
-// respects the caller's context.
+// pointer atomically and take neither the slot nor the commit lock:
+// installed databases are immutable, so readers are wait-free with
+// respect to writers.
 //
 // A crash at any point recovers either the pre- or the
 // post-transaction state, never a partial one: recovery discards
@@ -116,20 +118,10 @@ const (
 // match it with errors.Is to distinguish shutdown from engine errors.
 var ErrClosed = errors.New("persist: store is closed")
 
-// dbState is one installed database version. The database it points
-// to is immutable: commits install a fresh dbState rather than
-// mutating in place, so readers holding a dbState need no lock.
-type dbState struct {
-	db *core.Database
-	// version increments on every install; Apply uses it to detect
-	// that its evaluation base went stale (optimistic revalidation).
-	version uint64
-}
-
 // Store is a durable database instance. All methods are safe for
-// concurrent use. Transactions evaluate concurrently on immutable
-// state snapshots; only the commit install is serialized, and WAL
-// fsyncs are batched across concurrent committers (group commit).
+// concurrent use. Transactions evaluate one at a time in commit order;
+// reads never wait for them, and WAL fsyncs are batched across
+// concurrent committers (group commit).
 type Store struct {
 	dir string
 	u   *core.Universe
@@ -138,14 +130,19 @@ type Store struct {
 	fs FS
 
 	// state is the installed current database, read lock-free by
-	// Snapshot/Query/Len/Backup. Replaced (never mutated) under mu.
-	state atomic.Pointer[dbState]
+	// Snapshot/Query/Len/Backup. Replaced (never mutated) under slot
+	// and mu; the database it points to is immutable.
+	state atomic.Pointer[core.Database]
 
 	// seqMirror and epochMirror shadow seq/epoch for contexts that must
 	// not take mu (enterDegraded can run with mu held). Updated at every
 	// point seq/epoch change, under mu.
 	seqMirror   atomic.Int64
 	epochMirror atomic.Int64
+
+	// slot is the commit slot (capacity 1): held by whoever evaluates
+	// or installs a new state, and always taken before mu.
+	slot chan struct{}
 
 	// mu is the narrow commit lock: it guards WAL appends, the
 	// install of state, seq/history bookkeeping, and Checkpoint/Close.
@@ -223,9 +220,6 @@ type Store struct {
 	syncErr     error // sticky fsync failure
 	pendingTxns int64 // appended since the last fsync began
 
-	// queue is the bounded commit-queue semaphore (backpressure).
-	queue chan struct{}
-
 	// flight is the transaction flight recorder's retention ring (last
 	// K traces + slow traces); nil when disabled via WithTraceBuffer(0).
 	// The commit path records through it but never blocks on it beyond
@@ -268,8 +262,6 @@ type Store struct {
 
 // config collects Open options.
 type config struct {
-	serialized  bool
-	queueDepth  int
 	fs          FS
 	probeEvery  time.Duration
 	slogger     *slog.Logger
@@ -280,27 +272,6 @@ type config struct {
 
 // Option configures Open.
 type Option func(*config)
-
-// WithSerializedCommits disables the concurrent commit pipeline:
-// every transaction holds one store-wide lock across evaluation, WAL
-// append and its own fsync. This reproduces the legacy fully
-// serialized behavior and exists for benchmarking the pipeline
-// against it (parkbench B12); production callers should not use it.
-func WithSerializedCommits() Option {
-	return func(c *config) { c.serialized = true }
-}
-
-// WithCommitQueueDepth bounds the number of transactions admitted
-// into the commit pipeline at once (evaluating or waiting to
-// install). Admission beyond the bound blocks, honoring the caller's
-// context — this is the store's backpressure. Default 64.
-func WithCommitQueueDepth(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.queueDepth = n
-		}
-	}
-}
 
 // WithFS runs the store on the given filesystem implementation
 // instead of the real one. Tests use it to inject a FaultFS; parkd's
@@ -407,7 +378,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // a corrupt WAL region is quarantined instead of failing.
 func open(dir string, repair bool, opts ...Option) (*Store, *RepairReport, error) {
 	cfg := config{
-		queueDepth:  64,
 		fs:          OSFS(),
 		probeEvery:  3 * time.Second,
 		slogger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -424,7 +394,7 @@ func open(dir string, repair bool, opts ...Option) (*Store, *RepairReport, error
 		s.flight = flight.NewRing(cfg.traceBuffer, cfg.slowThresh)
 	}
 	s.syncCond = sync.NewCond(&s.syncMu)
-	s.queue = make(chan struct{}, cfg.queueDepth)
+	s.slot = make(chan struct{}, 1)
 	db := core.NewDatabase()
 
 	snapPath := filepath.Join(dir, snapshotName)
@@ -474,7 +444,7 @@ func open(dir string, repair bool, opts ...Option) (*Store, *RepairReport, error
 	}
 	s.wal = wal
 	s.walRecords, s.walBytes = records, validLen
-	s.state.Store(&dbState{db: db, version: 1})
+	s.state.Store(db)
 	s.seqMirror.Store(int64(s.seq))
 	s.epochMirror.Store(s.epoch)
 	return s, report, nil
@@ -750,18 +720,18 @@ func (s *Store) Flight() *flight.Ring { return s.flight }
 func (s *Store) Universe() *core.Universe { return s.u }
 
 // current returns the installed state, wait-free.
-func (s *Store) current() *dbState { return s.state.Load() }
+func (s *Store) current() *core.Database { return s.state.Load() }
 
 // Snapshot returns a copy of the current database instance. It never
 // blocks on writers: the installed state is immutable and the clone
 // happens outside any lock.
 func (s *Store) Snapshot() *core.Database {
-	return s.current().db.Clone()
+	return s.current().Clone()
 }
 
 // Len returns the current number of facts, without locking.
 func (s *Store) Len() int {
-	return s.current().db.Len()
+	return s.current().Len()
 }
 
 // Seq returns the global sequence number of the most recent

@@ -94,6 +94,9 @@ func (s *Store) ReplicaCut(from int, withSnapshot bool, buffer int) (*ReplicaCut
 // sequence is skipped idempotently (stream resume overlap), and a gap
 // is an error — the follower must re-resume from its actual sequence.
 //
+// It holds the commit slot like a local commit, so it waits while a
+// local transaction evaluates and lands after it.
+//
 // The delta is WAL-logged with the leader's sequence in the commit
 // marker, but not fsynced: a replica batches durability through
 // SyncWAL, because a crash that loses the un-synced tail merely makes
@@ -125,6 +128,8 @@ func (s *Store) ApplyReplicatedFrom(txn TxnRecord, leaderEpoch int64) error {
 		// frame's own epoch is then the better claim.
 		auth = txn.Epoch
 	}
+	s.slot <- struct{}{}
+	defer s.releaseSlot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -188,8 +193,7 @@ func (s *Store) ApplyReplicatedFrom(txn TxnRecord, leaderEpoch int64) error {
 		s.enterDegraded("wal append", err)
 		return fmt.Errorf("persist: wal append: %w; %w", err, ErrDegraded)
 	}
-	cur := s.current()
-	db := cur.db.Clone()
+	db := s.current().Clone()
 	for _, id := range addIDs {
 		db.Add(id)
 	}
@@ -207,7 +211,7 @@ func (s *Store) ApplyReplicatedFrom(txn TxnRecord, leaderEpoch int64) error {
 		s.met.setEpoch(txn.Epoch)
 	}
 	s.pushHistoryLocked(rec)
-	s.state.Store(&dbState{db: db, version: cur.version + 1})
+	s.state.Store(db)
 	s.notify(rec)
 	s.syncMu.Lock()
 	s.appendedLSN++
@@ -282,6 +286,8 @@ func (s *Store) ResetToSnapshot(seq int, epoch int64, facts []string, leaderEpoc
 	if err != nil {
 		return fmt.Errorf("persist: replica snapshot: %w", err)
 	}
+	s.slot <- struct{}{}
+	defer s.releaseSlot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -320,8 +326,7 @@ func (s *Store) ResetToSnapshot(seq int, epoch int64, facts []string, leaderEpoc
 		return fmt.Errorf("persist: %w", err)
 	}
 	s.met.setEpoch(epoch)
-	cur := s.current()
-	s.state.Store(&dbState{db: db, version: cur.version + 1})
+	s.state.Store(db)
 	s.cfg.slogger.Info("bootstrapped from leader snapshot",
 		"seq", seq, "epoch", epoch, "leaderEpoch", leaderEpoch, "facts", len(facts))
 	s.ev.Emit(events.Event{

@@ -75,7 +75,7 @@ func (s *Store) ApplyUpdates(ctx context.Context, updates []core.Update) error {
 // runs on the installed copy-on-write snapshot and never waits on
 // writers.
 func (s *Store) Query(q *core.Query, yield func(binding []core.Sym) bool) error {
-	return core.EvalQuery(s.u, s.current().db, q, yield)
+	return core.EvalQuery(s.u, s.current(), q, yield)
 }
 
 // Checkpoint writes the current state as a new snapshot (atomically,
@@ -95,7 +95,7 @@ func (s *Store) Checkpoint() error {
 	if s.closed {
 		return ErrClosed
 	}
-	db := s.current().db
+	db := s.current()
 	if err := s.writeSnapshotLocked(db, s.seq, s.epoch); err != nil {
 		s.enterDegraded("checkpoint snapshot", err)
 		return fmt.Errorf("%w; %w", err, ErrDegraded)
@@ -229,7 +229,7 @@ func (s *Store) Close() error {
 // snapshot/database file. Backup reads the installed copy-on-write
 // state and never blocks writers.
 func (s *Store) Backup(w io.Writer) error {
-	db := s.current().db
+	db := s.current()
 	ids := append([]core.AID(nil), db.Atoms()...)
 	s.u.SortAtoms(ids)
 	bw := bufio.NewWriter(w)

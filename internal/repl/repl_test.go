@@ -79,6 +79,9 @@ func fastFollower(store *persist.Store, leaderURL string) *repl.Follower {
 }
 
 // runFollower starts f.Run and returns a cancel that waits for exit.
+// The cancel also runs in t.Cleanup. Tests close their httptest
+// servers in t.Cleanup registered before this one, so the follower
+// stops first and Close does not wait on its open stream.
 func runFollower(t *testing.T, f *repl.Follower) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -98,7 +101,7 @@ func runFollower(t *testing.T, f *repl.Follower) (stop func()) {
 func TestFollowerConvergesAndStaysLive(t *testing.T) {
 	leaderStore := openStore(t)
 	ts := httptest.NewServer(server.New(leaderStore).Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	for i := 0; i < 5; i++ {
 		apply(t, leaderStore, fmt.Sprintf("+p(a%d).", i))
 	}
@@ -134,7 +137,7 @@ func TestFollowerConvergesAndStaysLive(t *testing.T) {
 func TestFollowerSnapshotBootstrap(t *testing.T) {
 	leaderStore := openStore(t)
 	ts := httptest.NewServer(server.New(leaderStore).Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	for i := 0; i < 4; i++ {
 		apply(t, leaderStore, fmt.Sprintf("+q(b%d).", i))
 	}
@@ -164,7 +167,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 func TestFollowerBehindTailCatchesUpFromWAL(t *testing.T) {
 	leaderStore := openStore(t)
 	ts := httptest.NewServer(server.New(leaderStore).Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	for i := 0; i < 3; i++ {
 		apply(t, leaderStore, fmt.Sprintf("+u(e%d).", i))
 	}
@@ -226,7 +229,14 @@ func (p *chokeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	budget := p.budget
 	p.conns++
 	p.mu.Unlock()
-	resp, err := http.Get(p.target + r.URL.Path + "?" + r.URL.RawQuery)
+	// The upstream request carries the client's context, so the
+	// upstream stream ends when the client hangs up.
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.target+r.URL.Path+"?"+r.URL.RawQuery, nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -266,14 +276,14 @@ func (p *chokeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestFollowerTornStreamResume(t *testing.T) {
 	leaderStore := openStore(t)
 	leader := httptest.NewServer(server.New(leaderStore).Handler())
-	defer leader.Close()
+	t.Cleanup(leader.Close)
 	for i := 0; i < 20; i++ {
 		apply(t, leaderStore, fmt.Sprintf("+r(c%d).", i))
 	}
 
 	proxy := &chokeProxy{target: leader.URL, budget: 97}
 	proxied := httptest.NewServer(proxy)
-	defer proxied.Close()
+	t.Cleanup(proxied.Close)
 
 	followerStore := openStore(t)
 	f := fastFollower(followerStore, proxied.URL)
@@ -307,7 +317,7 @@ func TestFollowerTornStreamResume(t *testing.T) {
 func TestFollowerRestartMidCatchUp(t *testing.T) {
 	leaderStore := openStore(t)
 	ts := httptest.NewServer(server.New(leaderStore).Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	for i := 0; i < 30; i++ {
 		apply(t, leaderStore, fmt.Sprintf("+s(d%d).", i))
 	}
@@ -404,14 +414,14 @@ func TestFollowerSurvivesLeaderRestart(t *testing.T) {
 func TestReplicaServerEndToEnd(t *testing.T) {
 	leaderStore := openStore(t)
 	leader := httptest.NewServer(server.New(leaderStore).Handler())
-	defer leader.Close()
+	t.Cleanup(leader.Close)
 	apply(t, leaderStore, "+u(f1).")
 	apply(t, leaderStore, "+u(f2).")
 
 	replicaStore := openStore(t)
 	f := fastFollower(replicaStore, leader.URL)
 	replica := httptest.NewServer(server.NewReplica(replicaStore, f, leader.URL).Handler())
-	defer replica.Close()
+	t.Cleanup(replica.Close)
 	runFollower(t, f)
 
 	c := &server.Client{BaseURL: replica.URL}
@@ -463,12 +473,12 @@ func TestReplicaServerEndToEnd(t *testing.T) {
 func TestChainedReplicas(t *testing.T) {
 	leaderStore := openStore(t)
 	leader := httptest.NewServer(server.New(leaderStore).Handler())
-	defer leader.Close()
+	t.Cleanup(leader.Close)
 
 	midStore := openStore(t)
 	fMid := fastFollower(midStore, leader.URL)
 	mid := httptest.NewServer(server.NewReplica(midStore, fMid, leader.URL).Handler())
-	defer mid.Close()
+	t.Cleanup(mid.Close)
 	runFollower(t, fMid)
 
 	tipStore := openStore(t)
@@ -490,7 +500,7 @@ func TestChainedReplicas(t *testing.T) {
 func TestLeaderRejectsBadFrom(t *testing.T) {
 	leaderStore := openStore(t)
 	ts := httptest.NewServer(server.New(leaderStore).Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	for _, q := range []string{"from=x", "from=-1"} {
 		resp, err := http.Get(ts.URL + "/v1/repl/stream?" + q)
 		if err != nil {
@@ -510,7 +520,7 @@ func TestLeaderRejectsBadFrom(t *testing.T) {
 func TestTracePropagation(t *testing.T) {
 	leaderStore := openStore(t)
 	ts := httptest.NewServer(server.New(leaderStore).Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 
 	ctx := flight.WithTraceID(context.Background(), "req-42")
 	ups, err := parser.ParseUpdates(leaderStore.Universe(), "test", "+p(a).")

@@ -130,7 +130,7 @@ type Server struct {
 
 // New creates a server over the store. The initial program is empty
 // and the default strategy is inertia. The store's commit-pipeline
-// metrics (fsyncs, group-commit batch sizes, retries, queue waits)
+// metrics (fsyncs, group-commit batch sizes, slot and lock waits)
 // are registered into the server's registry.
 func New(store *persist.Store) *Server {
 	reg := metrics.NewRegistry()
